@@ -23,13 +23,11 @@ from .mutation import (
     Factor,
     InvalidFactor,
     InvalidMutationData,
-    MutationData,
     admissible_widths,
     apply_dual_map,
     canonical_form,
     enumerate_one_step,
     find_factors,
-    mutate,
     mutate_with,
     unimodular_equivalent,
 )

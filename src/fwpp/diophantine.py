@@ -8,6 +8,7 @@ with DOT/JSON export.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -190,9 +191,9 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     root_w = descend_to_minimal(weights)[-1]
     nodes = [TreeNode(weights=root_w, height=height(root_w), depth=0)]
     seen = {root_w}
-    queue = [0]
+    queue = deque([0])
     while queue:
-        idx = queue.pop(0)
+        idx = queue.popleft()
         node = nodes[idx]
         if max_depth is not None and node.depth >= max_depth:
             node.truncated = True

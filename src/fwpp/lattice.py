@@ -9,6 +9,7 @@ vertex, so equality of canonicalized polygons is plain tuple equality.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -30,6 +31,11 @@ class OriginNotInterior(LatticeError):
 
 class HeightOutOfRange(LatticeError):
     pass
+
+
+class MalformedPolygon(LatticeError):
+    """A polygon document that is not {"vertices": [[x, y], ...]} with
+    integer or decimal-string coordinates."""
 
 
 def det(u, v):
@@ -276,15 +282,33 @@ def edge_lattice_length(a, b) -> int:
 #
 # Triangles and polygons travel as {"vertices": [[x, y], ...]} with each
 # coordinate a decimal string, so arbitrary-precision integers survive
-# consumers that parse JSON numbers as 64-bit.
+# consumers that parse JSON numbers as 64-bit. Input may also use JSON
+# integers; any other shape or value is rejected, never rounded.
 
 def polygon_to_obj(vertices) -> dict:
     return {"vertices": [[str(x), str(y)] for x, y in polygon_vertices(vertices)]}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _coordinate(value) -> int:
+    """A JSON integer (not a boolean) or a decimal-integer string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise MalformedPolygon(f"coordinate {value!r} is not an integer")
+
+
 def polygon_from_obj(obj) -> tuple[Point, ...]:
-    verts = obj["vertices"]
-    return tuple((int(x), int(y)) for x, y in verts)
+    verts = obj.get("vertices") if isinstance(obj, dict) else None
+    if not isinstance(verts, list):
+        raise MalformedPolygon('expected an object with a "vertices" list')
+    for v in verts:
+        if not (isinstance(v, list) and len(v) == 2):
+            raise MalformedPolygon(f"vertex {v!r} is not an [x, y] pair")
+    return tuple((_coordinate(x), _coordinate(y)) for x, y in verts)
 
 
 def triangle_to_json(P) -> str:

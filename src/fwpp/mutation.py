@@ -1,14 +1,26 @@
 """Combinatorial mutations of two-dimensional Fano polygons.
 
-The engine works in a normalized coordinate system where the chosen width
-vector becomes (0, 1): heights are then y-coordinates, factors are
-horizontal segments, and every slice is an integer x-interval. Results are
-mapped back through the inverse basis change.
+The engine works in the frame where the width vector w becomes (0, 1) and
+the factor direction f becomes (d, 0) with d = +-1, so heights are plain
+y-coordinates. In two dimensions the result does not depend on the choice
+of the segments {G_h} (Akhtar-Coates-Galkin-Kasprzyk, "Minkowski
+polynomials and mutations", arXiv:1212.1785), and the mutation by
+conv{0, l*f} is the piecewise-linear map that fixes the boundary chain
+behind f and shears the chain in front of f by (x, y) -> (x + d*l*y, y):
+
+    mut(P) = conv(chain behind f  +  shear(chain in front of f)).
+
+This costs O(k) in the number of vertices, whatever the height range. The
+length l is feasible iff the edge at the lowest height h_min has lattice
+length at least l*|h_min|. The factor -f is a translate of the factor +f by a vector
+at height zero, so it gives a unimodularly equivalent polygon; factor
+discovery therefore returns the +f direction only. Results are mapped back
+through the inverse basis change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
@@ -18,7 +30,6 @@ from .lattice import (
     convex_hull,
     dual_polygon,
     is_primitive,
-    lattice_slice_interval,
     pairing,
     polygon_vertices,
     primitivize,
@@ -63,182 +74,65 @@ class Factor:
         return Factor(w=(-self.w[0], -self.w[1]), f=self.f, length=self.length)
 
 
-@dataclass(frozen=True)
-class MutationData:
-    """A factor together with an explicit choice of segments {G_h}.
-
-    g_segments maps each height h in [h_min, -1] to a lattice segment
-    (pair of endpoints) or None for the empty choice.
-    """
-
-    source: tuple[Point, ...]
-    factor: Factor
-    g_segments: dict = field(hash=False)
-
-
 def admissible_widths(P):
     """Primitive generators of the rays through the dual polygon's vertices;
     these are exactly the widths admitting a nontrivial factor in 2D."""
     return sorted(set(primitivize(u) for u in dual_polygon(P)))
 
 
-def _normalized_setup(vertices, w):
+def _normalized(P, w):
+    """Basis change U (w -> (0, 1)), its inverse, the vertices of P in the
+    new frame, and the largest feasible factor length (0 when none)."""
     U, Uinv = width_transform(w)
-    nvs = [apply_matrix(U, v) for v in vertices]
-    hs = [v[1] for v in nvs]
-    return U, Uinv, nvs, min(hs), max(hs)
+    nvs = [apply_matrix(U, v) for v in polygon_vertices(P)]
+    h_min = min(y for _, y in nvs)
+    bottom = [x for x, y in nvs if y == h_min]
+    l_max = (max(bottom) - min(bottom)) // -h_min if h_min < 0 else 0
+    return U, Uinv, nvs, l_max
 
 
-def _g_interval(slice_iv, need, direction):
-    """Maximal Minkowski difference of an integer interval by the shifted
-    factor interval; None when empty."""
-    if slice_iv is None:
-        return None
-    a, b = slice_iv
-    if b - a < need:
-        return None
-    if direction == 1:
-        return a, b - need
-    return a + need, b
-
-
-def find_factors(P, w):
-    """All factors of P with respect to w, paired with the maximal valid
-    {G_h} segments (in original coordinates). Empty when no factor exists."""
-    vs = polygon_vertices(P)
-    U, Uinv, nvs, h_min, h_max = _normalized_setup(vs, w)
-    if h_min >= 0:
-        return []
-    slices = {h: lattice_slice_interval(nvs, h) for h in range(h_min, 0)}
-    vertex_heights = {}
-    for v in nvs:
-        if v[1] < 0:
-            vertex_heights.setdefault(v[1], []).append(v[0])
-
-    # Heights carrying vertices bound the feasible factor length.
-    l_max = None
-    for h, xs in vertex_heights.items():
-        a, b = slices[h]  # vertex heights always hold lattice points
-        cap = (b - a) // (-h)
-        l_max = cap if l_max is None else min(l_max, cap)
-    if not l_max:
-        return []
-
-    results = []
-    for direction in (1, -1):
-        f = apply_matrix(Uinv, (direction, 0))
-        for length in range(1, l_max + 1):
-            g_segments = {}
-            feasible = True
-            for h in range(h_min, 0):
-                need = (-h) * length
-                g = _g_interval(slices[h], need, direction)
-                if g is None and h in vertex_heights:
-                    feasible = False
-                    break
-                if g is None:
-                    g_segments[h] = None
-                else:
-                    g_segments[h] = (
-                        apply_matrix(Uinv, (g[0], h)),
-                        apply_matrix(Uinv, (g[1], h)),
-                    )
-            if feasible:
-                results.append((Factor(w=w, f=f, length=length), g_segments))
-    return results
-
-
-def _check_g_segment(seg, h, slice_iv, need, direction, vertex_xs, U):
-    """Validate a caller-supplied G_h against the inclusion condition
-    vertices <= G_h + (-h)F <= w_h(P); returns the integer interval."""
-    if seg is None:
-        if vertex_xs:
-            raise InvalidMutationData(f"empty G at height {h} excludes vertices")
-        return None
-    p, q = (apply_matrix(U, seg[0]), apply_matrix(U, seg[1]))
-    if p[1] != h or q[1] != h:
-        raise InvalidMutationData(f"G segment not at height {h}")
-    ga, gb = min(p[0], q[0]), max(p[0], q[0])
-    if direction == 1:
-        lo, hi = ga, gb + need
-    else:
-        lo, hi = ga - need, gb
-    if slice_iv is None or lo < slice_iv[0] or hi > slice_iv[1]:
-        raise InvalidMutationData(f"G + (-h)F not contained in slice at {h}")
-    for x in vertex_xs:
-        if not (lo <= x <= hi):
-            raise InvalidMutationData(f"vertex at height {h} not covered")
-    return ga, gb
-
-
-def _mutate_core(vertices, factor, g_segments=None):
-    vs = polygon_vertices(vertices)
-    U, Uinv, nvs, h_min, h_max = _normalized_setup(vs, factor.w)
-    fn = apply_matrix(U, factor.f)
-    direction = fn[0]
-    if fn[1] != 0 or abs(direction) != 1:
-        raise InvalidMutationData("factor direction not at height zero")
-    length = factor.length
-    vertex_heights = {}
-    for v in nvs:
-        if v[1] < 0:
-            vertex_heights.setdefault(v[1], []).append(v[0])
-
-    points = []
-    for h in range(h_min, 0):
-        need = (-h) * length
-        slice_iv = lattice_slice_interval(nvs, h)
-        if g_segments is not None:
-            g = _check_g_segment(
-                g_segments.get(h), h, slice_iv, need, direction,
-                vertex_heights.get(h, []), U,
-            )
-        else:
-            g = _g_interval(slice_iv, need, direction)
-            if g is None and h in vertex_heights:
-                raise InvalidMutationData(
-                    f"no valid G at height {h} for length {length}"
-                )
-        if g is not None:
-            points.append((g[0], h))
-            points.append((g[1], h))
-    for h in range(0, h_max + 1):
-        slice_iv = lattice_slice_interval(nvs, h)
-        if slice_iv is None:
-            continue
-        a, b = slice_iv
-        shift = h * length
-        if direction == 1:
-            points.append((a, h))
-            points.append((b + shift, h))
-        else:
-            points.append((a - shift, h))
-            points.append((b, h))
-
-    hull = convex_hull(points)
-    out = convex_hull([apply_matrix(Uinv, p) for p in hull])
-    validate_fano_polygon(out)
-    return out
-
-
-def mutate(P, data: MutationData):
-    """Combinatorial mutation of P by the given factor and {G_h} choice."""
-    vs = polygon_vertices(P)
-    if convex_hull(vs) != convex_hull(data.source):
-        raise InvalidMutationData("mutation data built for a different polygon")
-    return _mutate_core(vs, data.factor, data.g_segments)
+def find_factors(P, w) -> list[Factor]:
+    """All factors of P with respect to w, one per feasible length, in the
+    direction f that the frame of w maps to (1, 0). Empty when none."""
+    _, Uinv, _, l_max = _normalized(P, w)
+    f = apply_matrix(Uinv, (1, 0))
+    return [Factor(w=w, f=f, length=length) for length in range(1, l_max + 1)]
 
 
 def mutate_with(P, factor: Factor):
-    """Mutation using the maximal (deterministic) choice of {G_h}."""
-    return _mutate_core(P, factor)
+    """Combinatorial mutation of P by the factor; raises InvalidMutationData
+    when its length is infeasible."""
+    U, Uinv, nvs, l_max = _normalized(P, factor.w)
+    if factor.length > l_max:
+        raise InvalidMutationData(
+            f"factor length {factor.length} exceeds the maximum {l_max}"
+        )
+    d = apply_matrix(U, factor.f)[0]
+    slope = d * factor.length
+    nvs = convex_hull(nvs)  # counterclockwise, whatever order P came in
+    k = len(nvs)
+    points = []
+    # Walking counterclockwise, the right chain climbs and the left chain
+    # descends; the lowest and highest vertices lie on both.
+    for i, (x, y) in enumerate(nvs):
+        prev_y, next_y = nvs[i - 1][1], nvs[(i + 1) % k][1]
+        right = next_y > y or prev_y < y
+        left = next_y < y or prev_y > y
+        front, behind = (right, left) if d == 1 else (left, right)
+        if behind:
+            points.append((x, y))
+        if front:
+            points.append((x + slope * y, y))
+    out = convex_hull(apply_matrix(Uinv, p) for p in points)
+    validate_fano_polygon(out)
+    return out
 
 
 def apply_dual_map(P, factor: Factor):
     """Image of the dual polygon under the piecewise linear map induced by
     the factor; equals the dual of the mutated polygon."""
     try:
-        _mutate_core(P, factor)
+        mutate_with(P, factor)
     except InvalidMutationData as exc:
         raise InvalidFactor(str(exc)) from exc
     dual = dual_polygon(P)
@@ -305,8 +199,8 @@ def enumerate_one_step(P, triangles_only: bool = False):
     deduplicated up to unimodular equivalence of the outputs."""
     seen = {}
     for w in admissible_widths(P):
-        for factor, g_segments in find_factors(P, w):
-            Q = _mutate_core(P, factor, g_segments)
+        for factor in find_factors(P, w):
+            Q = mutate_with(P, factor)
             if triangles_only and len(Q) != 3:
                 continue
             key = canonical_form(Q)

@@ -179,3 +179,511 @@ class TestErrors:
         path.write_text("{}")
         code, _, err = run(capsys, ["analyze", str(path)])
         assert code == 1 and "error:" in err
+
+
+class TestMalformedTriangle:
+    @pytest.mark.parametrize("text", [
+        '{"vertices": [[1.9, 0], [0, 1], [-1, -1]]}',
+        '{"vertices": [[true, 0], [0, 1], [-1, -1]]}',
+        '{"vertices": 5}',
+        '[1, 2]',
+    ])
+    def test_rejected_with_one_error_line(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# Exact stdout of `mutate` and `enumerate`, recorded before the mutation
+# engine moved from per-height slices to the closed-form shear. The inputs
+# and argv are those of the benchmark's cli workload: "@name" is the path of
+# a file holding PINNED_TRIANGLES[name], and a second field names the
+# triangle fed on stdin.
+PINNED_TRIANGLES = {
+    "p2": ((-1, 2), (0, -1), (1, -1)),
+    "w114": ((-1, -4), (1, 0), (0, 1)),
+    "w123": ((-2, -3), (1, 0), (0, 1)),
+    "w1425": ((-4, -25), (1, 0), (0, 1)),
+    "w235": ((-4, -5), (1, 0), (1, 2)),
+    "w357": ((-4, -7), (1, 0), (1, 3)),
+}
+
+
+def _triangle_text(vertices):
+    return json.dumps({"vertices": [[str(x), str(y)] for x, y in vertices]})
+
+
+@pytest.mark.parametrize("op_id", ["mutate-p2", "mutate-w114", "mutate-w123",
+                                   "mutate-w235", "mutate-text-w1425",
+                                   "enumerate-p2", "enumerate-w123",
+                                   "enumerate-tri-w235", "enumerate-text-w357",
+                                   "enumerate-stdin-w1425"])
+def test_pinned_stdout(capsys, monkeypatch, tmp_path, op_id):
+    import io
+    import sys
+    argv, stdin_name, expected = PINNED[op_id]
+    paths = {}
+    for name, vs in PINNED_TRIANGLES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(_triangle_text(vs))
+    argv = [str(paths[a[1:]]) if a.startswith("@") else a for a in argv]
+    if stdin_name:
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO(_triangle_text(PINNED_TRIANGLES[stdin_name])))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+PINNED = {
+    "mutate-p2": (
+        ['mutate', '@p2', '--width', '0,1', '--factor', '1,0'], None,
+        """\
+{
+  "vertices": [
+    [
+      "-1",
+      "2"
+    ],
+    [
+      "0",
+      "-1"
+    ],
+    [
+      "1",
+      "2"
+    ]
+  ]
+}
+""",
+    ),
+    "mutate-w114": (
+        ['mutate', '@w114', '--width=-1,-1', '--factor=-1,1'], None,
+        """\
+{
+  "vertices": [
+    [
+      "-6",
+      "1"
+    ],
+    [
+      "-1",
+      "-4"
+    ],
+    [
+      "1",
+      "0"
+    ]
+  ]
+}
+""",
+    ),
+    "mutate-w123": (
+        ['mutate', '@w123', '--width=-1,1', '--factor', '1,1', '--length', '3'], None,
+        """\
+{
+  "vertices": [
+    [
+      "-2",
+      "-3"
+    ],
+    [
+      "3",
+      "4"
+    ],
+    [
+      "0",
+      "1"
+    ]
+  ]
+}
+""",
+    ),
+    "mutate-w235": (
+        ['mutate', '@w235', '--width=-1,1', '--factor', '1,1', '--length', '5'], None,
+        """\
+{
+  "vertices": [
+    [
+      "-4",
+      "-5"
+    ],
+    [
+      "6",
+      "7"
+    ],
+    [
+      "1",
+      "2"
+    ]
+  ]
+}
+""",
+    ),
+    "mutate-text-w1425": (
+        ['--format', 'text', 'mutate', '@w1425', '--width=-5,1', '--factor', '1,5'], None,
+        """\
+[-4, -25]
+[1, 6]
+[0, 1]
+""",
+    ),
+    "enumerate-p2": (
+        ['enumerate', '@p2'], None,
+        """\
+{
+  "mutations": [
+    {
+      "factor": {
+        "f": [
+          "-2",
+          "3"
+        ],
+        "length": "1",
+        "w": [
+          "-3",
+          "-2"
+        ]
+      },
+      "vertices": [
+        [
+          "-4",
+          "5"
+        ],
+        [
+          "0",
+          "-1"
+        ],
+        [
+          "1",
+          "-1"
+        ]
+      ]
+    }
+  ]
+}
+""",
+    ),
+    "enumerate-w123": (
+        ['enumerate', '@w123'], None,
+        """\
+{
+  "mutations": [
+    {
+      "factor": {
+        "f": [
+          "-1",
+          "-2"
+        ],
+        "length": "2",
+        "w": [
+          "2",
+          "-1"
+        ]
+      },
+      "vertices": [
+        [
+          "-3",
+          "-8"
+        ],
+        [
+          "1",
+          "0"
+        ],
+        [
+          "0",
+          "1"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "-1",
+          "-2"
+        ],
+        "length": "1",
+        "w": [
+          "2",
+          "-1"
+        ]
+      },
+      "vertices": [
+        [
+          "-1",
+          "-4"
+        ],
+        [
+          "1",
+          "0"
+        ],
+        [
+          "0",
+          "1"
+        ],
+        [
+          "-1",
+          "-1"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "1",
+          "1"
+        ],
+        "length": "3",
+        "w": [
+          "-1",
+          "1"
+        ]
+      },
+      "vertices": [
+        [
+          "-2",
+          "-3"
+        ],
+        [
+          "3",
+          "4"
+        ],
+        [
+          "0",
+          "1"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "1",
+          "1"
+        ],
+        "length": "1",
+        "w": [
+          "-1",
+          "1"
+        ]
+      },
+      "vertices": [
+        [
+          "-2",
+          "-3"
+        ],
+        [
+          "0",
+          "-1"
+        ],
+        [
+          "1",
+          "2"
+        ],
+        [
+          "0",
+          "1"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "-1",
+          "1"
+        ],
+        "length": "1",
+        "w": [
+          "-1",
+          "-1"
+        ]
+      },
+      "vertices": [
+        [
+          "-7",
+          "2"
+        ],
+        [
+          "-2",
+          "-3"
+        ],
+        [
+          "1",
+          "0"
+        ]
+      ]
+    }
+  ]
+}
+""",
+    ),
+    "enumerate-tri-w235": (
+        ['enumerate', '@w235', '--triangles-only'], None,
+        """\
+{
+  "mutations": [
+    {
+      "factor": {
+        "f": [
+          "1",
+          "1"
+        ],
+        "length": "5",
+        "w": [
+          "-1",
+          "1"
+        ]
+      },
+      "vertices": [
+        [
+          "-4",
+          "-5"
+        ],
+        [
+          "6",
+          "7"
+        ],
+        [
+          "1",
+          "2"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "0",
+          "1"
+        ],
+        "length": "2",
+        "w": [
+          "-1",
+          "0"
+        ]
+      },
+      "vertices": [
+        [
+          "-4",
+          "-5"
+        ],
+        [
+          "1",
+          "0"
+        ],
+        [
+          "-4",
+          "3"
+        ]
+      ]
+    }
+  ]
+}
+""",
+    ),
+    "enumerate-text-w357": (
+        ['--format', 'text', 'enumerate', '@w357'], None,
+        """\
+8 mutation class(es)
+w=(-1, 0) f=(0, 1) l=2: [(-4, -7), (1, 0), (1, 1), (-4, 1)]
+w=(2, -1) f=(-1, -2) l=4: [(-7, -16), (1, 0), (1, 3), (0, 1)]
+w=(-1, 0) f=(0, 1) l=1: [(-4, -7), (1, 0), (1, 2), (-4, -3)]
+w=(2, -1) f=(-1, -2) l=3: [(-5, -12), (1, 0), (1, 3), (-1, -1)]
+w=(2, -1) f=(-1, -2) l=5: [(-9, -20), (1, 0), (1, 3)]
+w=(2, -1) f=(-1, -2) l=1: [(-3, -5), (-1, -4), (1, 0), (1, 3)]
+w=(2, -1) f=(-1, -2) l=2: [(-3, -8), (1, 0), (1, 3), (-2, -3)]
+w=(-1, 0) f=(0, 1) l=3: [(-4, -7), (1, 0), (-4, 5)]
+""",
+    ),
+    "enumerate-stdin-w1425": (
+        ['enumerate', '-'], 'w1425',
+        """\
+{
+  "mutations": [
+    {
+      "factor": {
+        "f": [
+          "-2",
+          "-13"
+        ],
+        "length": "1",
+        "w": [
+          "13",
+          "-2"
+        ]
+      },
+      "vertices": [
+        [
+          "-25",
+          "-169"
+        ],
+        [
+          "1",
+          "0"
+        ],
+        [
+          "0",
+          "1"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "1",
+          "5"
+        ],
+        "length": "1",
+        "w": [
+          "-5",
+          "1"
+        ]
+      },
+      "vertices": [
+        [
+          "-4",
+          "-25"
+        ],
+        [
+          "1",
+          "6"
+        ],
+        [
+          "0",
+          "1"
+        ]
+      ]
+    },
+    {
+      "factor": {
+        "f": [
+          "-1",
+          "1"
+        ],
+        "length": "1",
+        "w": [
+          "-1",
+          "-1"
+        ]
+      },
+      "vertices": [
+        [
+          "-33",
+          "4"
+        ],
+        [
+          "-4",
+          "-25"
+        ],
+        [
+          "1",
+          "0"
+        ]
+      ]
+    }
+  ]
+}
+""",
+    ),
+}

@@ -2,18 +2,28 @@ import itertools
 
 import pytest
 
+from fwpp.diophantine import build_mutation_tree
 from fwpp.fwps import weights_of, wps_triangle
-from fwpp.lattice import degree, dual_polygon, make_fano_triangle
+from fwpp.lattice import (
+    apply_matrix,
+    convex_hull,
+    degree,
+    dual_polygon,
+    lattice_slice_interval,
+    make_fano_triangle,
+    polygon_vertices,
+    validate_fano_polygon,
+    width_transform,
+)
 from fwpp.mutation import (
     Factor,
     InvalidFactor,
     InvalidMutationData,
-    MutationData,
     admissible_widths,
     apply_dual_map,
+    canonical_form,
     enumerate_one_step,
     find_factors,
-    mutate,
     mutate_with,
     unimodular_equivalent,
 )
@@ -39,11 +49,17 @@ class TestAdmissibleWidths:
 
 class TestFindFactors:
     def test_example_factor(self):
-        factors = find_factors(P2, (0, 1))
-        by_dir = {f.f: (f, g) for f, g in factors}
-        f, g = by_dir[(1, 0)]
-        assert f.length == 1
-        assert g == {-1: ((0, -1), (0, -1))}
+        assert find_factors(P2, (0, 1)) == [Factor(w=(0, 1), f=(1, 0), length=1)]
+
+    def test_lengths_match_slice_oracle(self, corpus):
+        total = 0
+        for P in corpus:
+            for w in admissible_widths(P):
+                factors = find_factors(P, w)
+                total += len(factors)
+                assert [f.length for f in factors] == _feasible_lengths(P, w)
+                assert len({f.f for f in factors}) <= 1
+        assert total > 0
 
     def test_rigid_triangle_has_no_factors(self):
         for w in admissible_widths(T35):
@@ -66,11 +82,11 @@ class TestFindFactors:
 
 class TestMutate:
     def test_p2_to_p114(self):
-        factor, g = next(
-            (f, g) for f, g in find_factors(P2, (0, 1)) if f.f == (1, 0)
-        )
-        data = MutationData(source=P2.vertices, factor=factor, g_segments=g)
-        assert mutate(P2, data) == Q114.vertices
+        factor = find_factors(P2, (0, 1))[0]
+        assert mutate_with(P2, factor) == Q114.vertices
+        assert mutate_with(P2.vertices[::-1], factor) == Q114.vertices
+        g = {-1: ((0, -1), (0, -1))}
+        assert _mutate_from_g(P2, factor, g) == Q114.vertices
 
     def test_invertible(self):
         factor = Factor(w=(0, 1), f=(1, 0), length=1)
@@ -79,43 +95,114 @@ class TestMutate:
 
     def test_invalid_data_rejected(self):
         factor = Factor(w=(0, 1), f=(1, 0), length=1)
-        bad = MutationData(
-            source=P2.vertices, factor=factor,
-            g_segments={-1: ((1, -1), (1, -1))},  # excludes vertex (0,-1)+F
-        )
+        bad = {-1: ((1, -1), (1, -1))}  # excludes vertex (0,-1)+F
         with pytest.raises(InvalidMutationData):
-            mutate(P2, bad)
+            _mutate_from_g(P2, factor, bad)
 
     def test_infeasible_length(self):
         with pytest.raises(InvalidMutationData):
             mutate_with(P2, Factor(w=(0, 1), f=(1, 0), length=2))
 
     def test_g_choice_irrelevant_up_to_equivalence(self, small_corpus):
-        # enumerate every valid G-translate on small instances
-        for P in small_corpus[:10]:
+        # every valid choice of {G_h}, for both factor directions, gives
+        # exactly the closed-form result
+        total = 0
+        for P in small_corpus:
             for w in admissible_widths(P):
-                for factor, maximal_g in find_factors(P, w):
-                    base = mutate(P, MutationData(P.vertices, factor, maximal_g))
-                    choices = _all_g_choices(P, w, factor)
-                    for g in choices:
-                        out = mutate(P, MutationData(P.vertices, factor, g))
-                        assert unimodular_equivalent(out, base)
+                for factor in find_factors(P, w):
+                    for fac in (factor, _negated(factor)):
+                        out = mutate_with(P, fac)
+                        for g in _all_g_choices(P, w, fac):
+                            total += 1
+                            assert _mutate_from_g(P, fac, g) == out
+        assert total > 0
+
+
+def _negated(factor):
+    return Factor(w=factor.w, f=(-factor.f[0], -factor.f[1]),
+                  length=factor.length)
+
+
+def _slices(P, w):
+    """Basis change U for w, its inverse, the normalized vertices, and the
+    integer slice interval (or None) at every height from h_min to h_max."""
+    U, Uinv = width_transform(w)
+    nvs = [apply_matrix(U, v) for v in polygon_vertices(P)]
+    hs = [v[1] for v in nvs]
+    slices = {h: lattice_slice_interval(nvs, h)
+              for h in range(min(hs), max(hs) + 1)}
+    return U, Uinv, nvs, slices
+
+
+def _feasible_lengths(P, w):
+    """Factor lengths by brute force: the slice widths at the vertex heights
+    below zero cap the length, and each length up to one past the cap is
+    kept when the maximal {G_h} passes the per-height inclusion check."""
+    _, Uinv, nvs, slices = _slices(P, w)
+    caps = [(slices[y][1] - slices[y][0]) // -y for _, y in nvs if y < 0]
+    f = apply_matrix(Uinv, (1, 0))
+    lengths = []
+    for length in range(1, min(caps) + 2):
+        g = {}
+        for h, iv in slices.items():
+            if h < 0 and iv is not None and iv[1] - iv[0] >= -h * length:
+                g[h] = (apply_matrix(Uinv, (iv[0], h)),
+                        apply_matrix(Uinv, (iv[1] + h * length, h)))
+        try:
+            _mutate_from_g(P, Factor(w=w, f=f, length=length), g)
+        except InvalidMutationData:
+            continue
+        lengths.append(length)
+    return lengths
+
+
+def _mutate_from_g(P, factor, g):
+    """The mutation built from an explicit choice {G_h}: the hull of the
+    G_h endpoints for h < 0 and the slices stretched by h*F for h >= 0.
+    Raises InvalidMutationData unless vertices <= G_h + (-h)F <= slice."""
+    U, Uinv, nvs, slices = _slices(P, factor.w)
+    direction = apply_matrix(U, factor.f)[0]
+    points = []
+    for h, iv in slices.items():
+        need = abs(h) * factor.length
+        if h >= 0:
+            if iv is not None:
+                a, b = iv
+                if direction == 1:
+                    points += [(a, h), (b + need, h)]
+                else:
+                    points += [(a - need, h), (b, h)]
+            continue
+        vertex_xs = [v[0] for v in nvs if v[1] == h]
+        seg = g.get(h)
+        if seg is None:
+            if vertex_xs:
+                raise InvalidMutationData(f"empty G at height {h} excludes vertices")
+            continue
+        p, q = apply_matrix(U, seg[0]), apply_matrix(U, seg[1])
+        if p[1] != h or q[1] != h:
+            raise InvalidMutationData(f"G segment not at height {h}")
+        ga, gb = min(p[0], q[0]), max(p[0], q[0])
+        lo, hi = (ga, gb + need) if direction == 1 else (ga - need, gb)
+        if iv is None or lo < iv[0] or hi > iv[1]:
+            raise InvalidMutationData(f"G + (-h)F not contained in slice at {h}")
+        if not all(lo <= x <= hi for x in vertex_xs):
+            raise InvalidMutationData(f"vertex at height {h} not covered")
+        points += [(ga, h), (gb, h)]
+    out = convex_hull(apply_matrix(Uinv, p) for p in points)
+    validate_fano_polygon(out)
+    return out
 
 
 def _all_g_choices(P, w, factor, cap=200):
     """Every collection {G_h} satisfying the inclusion condition: all
     sub-intervals of the slice, of any width, at every negative height."""
-    from fwpp.lattice import (
-        apply_matrix, lattice_slice_interval, width_transform,
-    )
-    U, Uinv = width_transform(w)
-    nvs = [apply_matrix(U, v) for v in P.vertices]
+    U, Uinv, nvs, slices = _slices(P, w)
     fn = apply_matrix(U, factor.f)
-    h_min = min(v[1] for v in nvs)
     per_height = []
-    heights = list(range(h_min, 0))
+    heights = [h for h in slices if h < 0]
     for h in heights:
-        iv = lattice_slice_interval(nvs, h)
+        iv = slices[h]
         need = (-h) * factor.length
         vxs = [v[0] for v in nvs if v[1] == h]
         options = []
@@ -153,9 +240,10 @@ class TestDualMap:
     def test_matches_dual_of_mutation(self, small_corpus):
         for P in small_corpus[:12]:
             for w in admissible_widths(P):
-                for factor, _ in find_factors(P, w):
-                    Q = mutate_with(P, factor)
-                    assert set(apply_dual_map(P, factor)) == set(dual_polygon(Q))
+                for factor in find_factors(P, w):
+                    for fac in (factor, _negated(factor)):
+                        Q = mutate_with(P, fac)
+                        assert set(apply_dual_map(P, fac)) == set(dual_polygon(Q))
 
     def test_invalid_factor(self):
         with pytest.raises(InvalidFactor):
@@ -175,6 +263,25 @@ class TestEnumerate:
     def test_fake_plane_rigid(self):
         assert enumerate_one_step(T35) == []
 
+    @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3)])
+    def test_geometric_tree_matches_weight_tree(self, root):
+        # breadth-first over triangle mutations, up to equivalence
+        start = wps_triangle(*root)
+        seen = {canonical_form(start)}
+        level = [start.vertices]
+        weights = {weights_of(start).weights}
+        for _ in range(8):
+            nxt = []
+            for P in level:
+                for _, Q in enumerate_one_step(P, triangles_only=True):
+                    key = canonical_form(Q)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(Q)
+                        weights.add(weights_of(Q).weights)
+            level = nxt
+        assert weights == build_mutation_tree(root, max_depth=8).weight_set()
+
 
 class TestCanonicalForm:
     def test_unimodular_images_equivalent(self, corpus):
@@ -191,7 +298,6 @@ class TestCanonicalForm:
 
 class TestInvariants:
     def test_degree_and_fano_preserved(self, corpus):
-        from fwpp.lattice import validate_fano_polygon
         total = 0
         for P in corpus[:200]:
             d = degree(P)
