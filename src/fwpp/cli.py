@@ -32,9 +32,10 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        return lattice.int_to_decimal(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return (f"{lattice.int_to_decimal(value.numerator)}/"
+                f"{lattice.int_to_decimal(value.denominator)}")
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -42,17 +43,16 @@ def _jsonable(value):
     return value
 
 
-def _emit(args, obj, text_lines=None, dot=None):
+def _emit(args, obj, text_lines, dot=None):
+    """Write obj as JSON, or the document of the text_lines() or dot()
+    callable, which are only called when that format is asked for."""
     fmt = args.format
     if fmt == "json":
         out = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
     elif fmt == "dot":
-        if dot is None:
-            raise SystemExit("dot output is only available for 'tree'")
-        out = dot + "\n"
+        out = dot() + "\n"
     else:
-        lines = text_lines if text_lines is not None else [repr(obj)]
-        out = "\n".join(lines) + "\n"
+        out = "\n".join(text_lines()) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -94,14 +94,13 @@ def cmd_analyze(args) -> int:
         "degree": inv.degree,
         "edges": edges,
     }
-    text = [
+    _emit(args, obj, lambda: [
         f"weights: {inv.weights}  mult: {inv.mult}  degree: {inv.degree}",
     ] + [
         f"edge {e['from']} -> {e['to']}: {e['type']}"
         f" ({'T' if e['t_singularity'] else 'not T'})"
         for e in edges
-    ]
-    _emit(args, obj, text)
+    ])
     return 0
 
 
@@ -110,7 +109,7 @@ def cmd_mutate(args) -> int:
     factor = mutation.Factor(w=args.width, f=args.factor, length=args.length)
     Q = mutation.mutate_with(P, factor)
     obj = lattice.polygon_to_obj(Q)
-    _emit(args, obj, [str(list(v)) for v in Q])
+    _emit(args, obj, lambda: [str(list(v)) for v in Q])
     return 0
 
 
@@ -123,29 +122,27 @@ def cmd_enumerate(args) -> int:
             for f, Q in results
         ]
     }
-    text = [f"{len(results)} mutation class(es)"] + [
+    _emit(args, obj, lambda: [f"{len(results)} mutation class(es)"] + [
         f"w={f.w} f={f.f} l={f.length}: {list(Q)}" for f, Q in results
-    ]
-    _emit(args, obj, text)
+    ])
     return 0
 
 
 def cmd_weights_mutate(args) -> int:
     try:
         target = fwps.mutate_weights(tuple(args.weights), args.pivot)
-        obj = {"result": list(target)}
-        text = [str(tuple(target))]
     except fwps.NotDivisible as exc:
-        obj = {"result": None, "reason": str(exc)}
-        text = [f"no mutation: {exc}"]
-    _emit(args, obj, text)
+        _emit(args, {"result": None, "reason": str(exc)},
+              lambda: [f"no mutation: {exc}"])
+    else:
+        _emit(args, {"result": list(target)}, lambda: [str(tuple(target))])
     return 0
 
 
 def cmd_minimal(args) -> int:
     path = diophantine.descend_to_minimal(tuple(args.weights))
     obj = {"path": [list(w) for w in path], "minimal": list(path[-1])}
-    _emit(args, obj, [" -> ".join(str(w) for w in path)])
+    _emit(args, obj, lambda: [" -> ".join(str(w) for w in path)])
     return 0
 
 
@@ -154,12 +151,11 @@ def cmd_tree(args) -> int:
         tuple(args.weights), max_depth=args.depth, max_height=args.max_height
     )
     obj = diophantine.tree_to_obj(tree)
-    text = [
+    _emit(args, obj, lambda: [
         f"{'  ' * n.depth}{n.weights} h={n.height}"
         + (" [truncated]" if n.truncated else "")
         for n in tree.nodes
-    ]
-    _emit(args, obj, text, dot=diophantine.tree_to_dot(tree))
+    ], dot=lambda: diophantine.tree_to_dot(tree))
     return 0
 
 
@@ -174,7 +170,7 @@ def cmd_diophantine(args) -> int:
         "solution": list(sol),
         "derivation": {"d": deriv.d, "S": deriv.S, "T": deriv.T, "g": deriv.g},
     }
-    _emit(args, obj, [str(eq), f"solution: {sol}"])
+    _emit(args, obj, lambda: [str(eq), f"solution: {sol}"])
     return 0
 
 
@@ -186,7 +182,8 @@ def cmd_tsing(args) -> int:
         "normalized": str(s),
         "t_singularity": fwps.is_T_singularity(s),
     }
-    _emit(args, obj, [f"{s}: {'T' if fwps.is_T_singularity(s) else 'not T'}"])
+    _emit(args, obj,
+          lambda: [f"{s}: {'T' if fwps.is_T_singularity(s) else 'not T'}"])
     return 0
 
 
@@ -209,9 +206,8 @@ def cmd_pell(args) -> int:
             for n, row in enumerate(rows)
         ]
     }
-    text = [f"n={n} {keys[0]}={r[0]} {keys[1]}={r[1]} M={r[2]}"
-            for n, r in enumerate(rows)]
-    _emit(args, obj, text)
+    _emit(args, obj, lambda: [f"n={n} {keys[0]}={r[0]} {keys[1]}={r[1]} M={r[2]}"
+                              for n, r in enumerate(rows)])
     return 0
 
 
@@ -292,6 +288,8 @@ def main(argv=None) -> int:
     if args.command == "tree" and args.depth is None and args.max_height is None:
         args.depth = 5
     try:
+        if args.format == "dot" and args.command != "tree":
+            raise ValueError("dot output is only available for 'tree'")
         return args.func(args)
     except (lattice.LatticeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

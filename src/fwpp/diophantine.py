@@ -13,9 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from sympy import factorint
-
 from .fwps import NotDivisible, canon_weights, is_well_formed, mutate_weights
+from .lattice import int_to_decimal
+
+# Trial divisors of square_free_decompose. A cofactor free of them and below
+# _TRIAL_LIMIT**3 has at most two prime factors, so an isqrt settles it.
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, isqrt(p) + 1))
+)
 
 
 class NonIntegral(ValueError):
@@ -62,25 +68,44 @@ class GeneralDerivation:
 
 
 def square_free_decompose(n: int) -> SquareFreeDecomposition:
-    """Unique (c, a) with n = c * a^2 and c square-free."""
+    """Unique (c, a) with n = c * a^2 and c square-free.
+
+    Trial division by the primes below _TRIAL_LIMIT settles every n whose
+    cofactor is below _TRIAL_LIMIT**3; only a larger cofactor is handed to
+    sympy, which is imported here because its import costs more than the
+    rest of fwpp.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    c = 1
-    for p, e in factorint(n).items():
+    c = a = 1
+    m = n
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
         if e % 2:
             c *= p
-    return SquareFreeDecomposition(c=c, a=isqrt(n // c))
+        a *= p ** (e // 2)
+    if m >= _TRIAL_LIMIT**3:
+        from sympy import factorint
+
+        factors = factorint(m)
+    else:
+        # m is 1, a prime, or p*q or p^2 with primes p, q above the limit.
+        s = isqrt(m)
+        factors = {s: 2} if s * s == m else {m: 1}
+    for p, e in factors.items():
+        if e % 2:
+            c *= p
+        a *= p ** (e // 2)
+    return SquareFreeDecomposition(c=c, a=a)
 
 
-def derive_equation(weights):
-    """Equation, solution, and derivation data for a positive weight triple.
-
-    The order of the input weights is preserved in the coefficients c_i and
-    in the solution, so callers can keep the labelling of their plane.
-    """
-    lams = tuple(int(x) for x in weights)
-    if len(lams) != 3 or min(lams) < 1:
-        raise ValueError(f"need three positive weights, got {weights!r}")
+def _derive_direct(lams):
+    """derive_equation by factoring the weights themselves."""
     d = gcd(gcd(lams[0], lams[1]), lams[2])
     decs = [square_free_decompose(l // d) for l in lams]
     c = tuple(dec.c for dec in decs)
@@ -99,6 +124,40 @@ def derive_equation(weights):
     eq = DiophantineEquation(m=m, k=k, c=c, r=r)
     solution = tuple(d * ai for ai in a)
     return eq, solution, derivation
+
+
+def _square_class(lam: int, parts) -> int:
+    """The c among the square-free parts such that lam / c is a square."""
+    for c in parts:
+        if lam % c == 0:
+            s = isqrt(lam // c)
+            if s * s == lam // c:
+                return c
+    raise AssertionError(f"{lam} has none of the square-free parts {parts}")
+
+
+def derive_equation(weights):
+    """Equation, solution, and derivation data for a positive weight triple.
+
+    The order of the input weights is preserved in the coefficients c_i and
+    in the solution, so callers can keep the labelling of their plane.
+
+    Well-formed weights are not factored. The equation is an invariant of
+    the mutation component: the degree is, and a mutation lambda_p ->
+    lambda_p' keeps the square-free part, since lambda_p * lambda_p' =
+    (lambda_i + lambda_j)^2. So m, k, r, the derivation data and the
+    square-free parts come from the minimal weights, and each input weight
+    takes the one part that leaves a square quotient.
+    """
+    lams = tuple(int(x) for x in weights)
+    if len(lams) != 3 or min(lams) < 1:
+        raise ValueError(f"need three positive weights, got {weights!r}")
+    if not is_well_formed(lams):
+        return _derive_direct(lams)
+    root_eq, _, derivation = _derive_direct(descend_to_minimal(lams)[-1])
+    c = tuple(_square_class(l, root_eq.c) for l in lams)
+    eq = DiophantineEquation(m=root_eq.m, k=root_eq.k, c=c, r=root_eq.r)
+    return eq, tuple(isqrt(l // ci) for l, ci in zip(lams, c)), derivation
 
 
 def verify_solution(eq: DiophantineEquation, s) -> bool:
@@ -231,8 +290,8 @@ def tree_to_obj(tree: MutationTree) -> dict:
     return {
         "nodes": [
             {
-                "weights": [str(x) for x in n.weights],
-                "height": str(n.height),
+                "weights": [int_to_decimal(x) for x in n.weights],
+                "height": int_to_decimal(n.height),
                 "depth": n.depth,
                 "parent": n.parent,
                 "pivot": n.pivot,

@@ -16,6 +16,7 @@ from .lattice import (
     LatticeError,
     Point,
     det,
+    int_to_decimal,
     is_primitive,
     make_fano_triangle,
     polygon_vertices,
@@ -48,7 +49,7 @@ class QuotientSingularity:
     def __str__(self) -> str:
         if self.is_smooth:
             return "smooth"
-        return f"1/{self.r}(1,{self.a})"
+        return f"1/{int_to_decimal(self.r)}(1,{int_to_decimal(self.a)})"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -285,8 +286,38 @@ def edge_lattice_length(a, b) -> int:
 # consumers that parse JSON numbers as 64-bit. Input may also use JSON
 # integers; any other shape or value is rejected, never rounded.
 
+def int_to_decimal(n: int) -> str:
+    """The decimal string of n, at any size.
+
+    The builtin conversion refuses integers longer than
+    sys.get_int_max_str_digits(); those are split around a power of ten
+    instead of raising that process-wide limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + int_to_decimal(-n)
+        k = n.bit_length() * 30103 // 200000  # about half the digits
+        hi, lo = divmod(n, 10**k)
+        return int_to_decimal(hi) + int_to_decimal(lo).rjust(k, "0")
+
+
+def decimal_to_int(text: str) -> int:
+    """The integer a string matching -?[0-9]+ spells, at any length; the
+    inverse of int_to_decimal."""
+    digits = text.lstrip("-")
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(digits) <= limit:
+        return int(text)
+    k = len(digits) // 2
+    value = decimal_to_int(digits[:-k]) * 10**k + decimal_to_int(digits[-k:])
+    return -value if text.startswith("-") else value
+
+
 def polygon_to_obj(vertices) -> dict:
-    return {"vertices": [[str(x), str(y)] for x, y in polygon_vertices(vertices)]}
+    return {"vertices": [[int_to_decimal(x), int_to_decimal(y)]
+                         for x, y in polygon_vertices(vertices)]}
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -297,7 +328,7 @@ def _coordinate(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        return decimal_to_int(value)
     raise MalformedPolygon(f"coordinate {value!r} is not an integer")
 
 

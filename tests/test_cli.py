@@ -1,9 +1,21 @@
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fwpp
 from fwpp.cli import main
-from fwpp.lattice import make_fano_triangle, triangle_to_json
+from fwpp.fwps import mutate_weights, wps_triangle
+from fwpp.lattice import (
+    decimal_to_int,
+    make_fano_triangle,
+    triangle_from_json,
+    triangle_to_json,
+)
 
 P2_JSON = triangle_to_json(make_fano_triangle((1, -1), (-1, 2), (0, -1)))
 
@@ -37,8 +49,6 @@ class TestAnalyze:
         assert "weights: (1, 1, 1)" in out
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(P2_JSON))
         code, out, _ = run(capsys, ["analyze", "-"])
         assert code == 0
@@ -121,9 +131,21 @@ class TestTree:
         assert code == 0
         assert out.startswith("digraph") and "->" in out
 
-    def test_dot_rejected_elsewhere(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--format", "dot", "minimal", "1", "1", "1"])
+    def test_dot_rejected_elsewhere(self, capsys, p2_file, tmp_path):
+        out_path = tmp_path / "out.txt"
+        for argv in (["analyze", p2_file],
+                     ["mutate", p2_file, "--width", "0,1", "--factor", "1,0"],
+                     ["enumerate", p2_file],
+                     ["weights-mutate", "1", "1", "4", "--pivot", "2"],
+                     ["minimal", "1", "1", "1"],
+                     ["diophantine", "12", "5", "7"],
+                     ["tsing", "5", "1", "3"],
+                     ["pell", "--family", "a1"],
+                     ["--output", str(out_path), "minimal", "1", "1", "4"]):
+            code, out, err = run(capsys, ["--format", "dot", *argv])
+            assert (code, out) == (1, ""), argv
+            assert err == "error: dot output is only available for 'tree'\n"
+        assert not out_path.exists()
 
 
 class TestDiophantine:
@@ -197,11 +219,55 @@ class TestMalformedTriangle:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-# Exact stdout of `mutate` and `enumerate`, recorded before the mutation
-# engine moved from per-height slices to the closed-form shear. The inputs
-# and argv are those of the benchmark's cli workload: "@name" is the path of
-# a file holding PINNED_TRIANGLES[name], and a second field names the
-# triangle fed on stdin.
+class TestBigIntegers:
+    def test_analyze_weights_past_the_digit_limit(self, capsys, tmp_path):
+        w = (1, 1, 1)
+        for _ in range(18):  # max-growth Markov branch: 5261-digit weights
+            w = mutate_weights(w, 0)
+        P = wps_triangle(*w)
+        path = tmp_path / "big.json"
+        path.write_text(triangle_to_json(P))
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [decimal_to_int(x) for x in doc["weights"]] == list(w)
+        assert (doc["mult"], doc["degree"]) == ("1", "9/1")
+        assert triangle_from_json(json.dumps(doc)) == P
+        assert sorted(decimal_to_int(e["r"]) for e in doc["edges"]) == list(w)
+
+
+def test_sympy_not_imported():
+    """sympy is only imported to factor numbers that trial division cannot
+    settle; these commands never need it."""
+    script = """if True:
+        import contextlib, io, sys
+        import fwpp
+        assert "sympy" not in sys.modules, "import fwpp"
+        from fwpp.cli import main
+        for argv in (["tsing", "5", "1", "3"], ["diophantine", "12", "5", "7"],
+                     ["diophantine", "4", "25", "841"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert "sympy" not in sys.modules, argv
+    """
+    src = os.path.dirname(os.path.dirname(fwpp.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Exact stdout of the cli workload's invocations, one file per entry in
+# tests/pinned_stdout, recorded before the mutation engine moved to the
+# closed-form shear (`mutate`, `enumerate`) and before equations were derived
+# from the minimal root (the other subcommands). The inputs and argv are
+# those of the benchmark's cli workload: "@name" is the path of a file
+# holding PINNED_TRIANGLES[name], "@out" is an --output path whose contents
+# are pinned in place of stdout, and a second field names the triangle fed
+# on stdin.
+PINNED_DIR = pathlib.Path(__file__).parent / "pinned_stdout"
+
 PINNED_TRIANGLES = {
     "p2": ((-1, 2), (0, -1), (1, -1)),
     "w114": ((-1, -4), (1, 0), (0, 1)),
@@ -211,21 +277,65 @@ PINNED_TRIANGLES = {
     "w357": ((-4, -7), (1, 0), (1, 3)),
 }
 
+PINNED = {
+    "analyze-p2": (["analyze", "@p2"], None),
+    "analyze-w114": (["analyze", "@w114"], None),
+    "analyze-w123": (["analyze", "@w123"], None),
+    "analyze-w1425": (["analyze", "@w1425"], None),
+    "analyze-w235": (["analyze", "@w235"], None),
+    "analyze-w357": (["analyze", "@w357"], None),
+    "analyze-text-p2": (["--format", "text", "analyze", "@p2"], None),
+    "analyze-text-w357": (["--format", "text", "analyze", "@w357"], None),
+    "analyze-stdin-p2": (["analyze", "-"], "p2"),
+    "analyze-stdin-w235": (["analyze", "-"], "w235"),
+    "analyze-output-w123": (["--output", "@out", "analyze", "@w123"], None),
+    "mutate-p2": (["mutate", "@p2", "--width", "0,1", "--factor", "1,0"], None),
+    "mutate-w114": (["mutate", "@w114", "--width=-1,-1", "--factor=-1,1"], None),
+    "mutate-w123": (["mutate", "@w123", "--width=-1,1", "--factor", "1,1",
+                     "--length", "3"], None),
+    "mutate-w235": (["mutate", "@w235", "--width=-1,1", "--factor", "1,1",
+                     "--length", "5"], None),
+    "mutate-text-w1425": (["--format", "text", "mutate", "@w1425", "--width=-5,1",
+                           "--factor", "1,5"], None),
+    "enumerate-p2": (["enumerate", "@p2"], None),
+    "enumerate-w123": (["enumerate", "@w123"], None),
+    "enumerate-tri-w235": (["enumerate", "@w235", "--triangles-only"], None),
+    "enumerate-text-w357": (["--format", "text", "enumerate", "@w357"], None),
+    "enumerate-stdin-w1425": (["enumerate", "-"], "w1425"),
+    "weights-mutate-114": (["weights-mutate", "1", "1", "4", "--pivot", "2"], None),
+    "weights-mutate-1425": (["weights-mutate", "1", "4", "25", "--pivot", "0"], None),
+    "weights-mutate-357": (["weights-mutate", "3", "5", "7", "--pivot", "2"], None),
+    "weights-mutate-text-425841": (["--format", "text", "weights-mutate", "4", "25",
+                                    "841", "--pivot", "0"], None),
+    "minimal-425841": (["minimal", "4", "25", "841"], None),
+    "minimal-25841187489": (["minimal", "25", "841", "187489"], None),
+    "minimal-text-3532": (["--format", "text", "minimal", "3", "5", "32"], None),
+    "tree-111": (["tree", "1", "1", "1", "--depth", "5"], None),
+    "tree-dot-112": (["--format", "dot", "tree", "1", "1", "2", "--depth", "4"], None),
+    "tree-text-123": (["--format", "text", "tree", "1", "2", "3", "--depth", "4"], None),
+    "tree-output-111": (["--output", "@out", "tree", "1", "1", "1", "--depth", "6"], None),
+    "tree-height-111": (["tree", "1", "1", "1", "--max-height", "100000"], None),
+    "diophantine-1257": (["diophantine", "12", "5", "7"], None),
+    "diophantine-111": (["diophantine", "1", "1", "1"], None),
+    "diophantine-425841": (["diophantine", "4", "25", "841"], None),
+    "diophantine-text-123": (["--format", "text", "diophantine", "1", "2", "3"], None),
+    "tsing-513": (["tsing", "5", "1", "3"], None),
+    "tsing-411": (["tsing", "4", "1", "1"], None),
+    "tsing-text-912": (["--format", "text", "tsing", "9", "1", "2"], None),
+    "pell-a1": (["pell", "--family", "a1", "--count", "6"], None),
+    "pell-text-a2": (["--format", "text", "pell", "--family", "a2", "--count", "6"], None),
+    "pell-a2-12": (["pell", "--family", "a2", "--count", "12"], None),
+}
+
 
 def _triangle_text(vertices):
     return json.dumps({"vertices": [[str(x), str(y)] for x, y in vertices]})
 
 
-@pytest.mark.parametrize("op_id", ["mutate-p2", "mutate-w114", "mutate-w123",
-                                   "mutate-w235", "mutate-text-w1425",
-                                   "enumerate-p2", "enumerate-w123",
-                                   "enumerate-tri-w235", "enumerate-text-w357",
-                                   "enumerate-stdin-w1425"])
+@pytest.mark.parametrize("op_id", sorted(PINNED))
 def test_pinned_stdout(capsys, monkeypatch, tmp_path, op_id):
-    import io
-    import sys
-    argv, stdin_name, expected = PINNED[op_id]
-    paths = {}
+    argv, stdin_name = PINNED[op_id]
+    paths = {"out": tmp_path / "out.txt"}
     for name, vs in PINNED_TRIANGLES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(_triangle_text(vs))
@@ -235,455 +345,7 @@ def test_pinned_stdout(capsys, monkeypatch, tmp_path, op_id):
             sys, "stdin", io.StringIO(_triangle_text(PINNED_TRIANGLES[stdin_name])))
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
-    assert out == expected
-
-
-PINNED = {
-    "mutate-p2": (
-        ['mutate', '@p2', '--width', '0,1', '--factor', '1,0'], None,
-        """\
-{
-  "vertices": [
-    [
-      "-1",
-      "2"
-    ],
-    [
-      "0",
-      "-1"
-    ],
-    [
-      "1",
-      "2"
-    ]
-  ]
-}
-""",
-    ),
-    "mutate-w114": (
-        ['mutate', '@w114', '--width=-1,-1', '--factor=-1,1'], None,
-        """\
-{
-  "vertices": [
-    [
-      "-6",
-      "1"
-    ],
-    [
-      "-1",
-      "-4"
-    ],
-    [
-      "1",
-      "0"
-    ]
-  ]
-}
-""",
-    ),
-    "mutate-w123": (
-        ['mutate', '@w123', '--width=-1,1', '--factor', '1,1', '--length', '3'], None,
-        """\
-{
-  "vertices": [
-    [
-      "-2",
-      "-3"
-    ],
-    [
-      "3",
-      "4"
-    ],
-    [
-      "0",
-      "1"
-    ]
-  ]
-}
-""",
-    ),
-    "mutate-w235": (
-        ['mutate', '@w235', '--width=-1,1', '--factor', '1,1', '--length', '5'], None,
-        """\
-{
-  "vertices": [
-    [
-      "-4",
-      "-5"
-    ],
-    [
-      "6",
-      "7"
-    ],
-    [
-      "1",
-      "2"
-    ]
-  ]
-}
-""",
-    ),
-    "mutate-text-w1425": (
-        ['--format', 'text', 'mutate', '@w1425', '--width=-5,1', '--factor', '1,5'], None,
-        """\
-[-4, -25]
-[1, 6]
-[0, 1]
-""",
-    ),
-    "enumerate-p2": (
-        ['enumerate', '@p2'], None,
-        """\
-{
-  "mutations": [
-    {
-      "factor": {
-        "f": [
-          "-2",
-          "3"
-        ],
-        "length": "1",
-        "w": [
-          "-3",
-          "-2"
-        ]
-      },
-      "vertices": [
-        [
-          "-4",
-          "5"
-        ],
-        [
-          "0",
-          "-1"
-        ],
-        [
-          "1",
-          "-1"
-        ]
-      ]
-    }
-  ]
-}
-""",
-    ),
-    "enumerate-w123": (
-        ['enumerate', '@w123'], None,
-        """\
-{
-  "mutations": [
-    {
-      "factor": {
-        "f": [
-          "-1",
-          "-2"
-        ],
-        "length": "2",
-        "w": [
-          "2",
-          "-1"
-        ]
-      },
-      "vertices": [
-        [
-          "-3",
-          "-8"
-        ],
-        [
-          "1",
-          "0"
-        ],
-        [
-          "0",
-          "1"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "-1",
-          "-2"
-        ],
-        "length": "1",
-        "w": [
-          "2",
-          "-1"
-        ]
-      },
-      "vertices": [
-        [
-          "-1",
-          "-4"
-        ],
-        [
-          "1",
-          "0"
-        ],
-        [
-          "0",
-          "1"
-        ],
-        [
-          "-1",
-          "-1"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "1",
-          "1"
-        ],
-        "length": "3",
-        "w": [
-          "-1",
-          "1"
-        ]
-      },
-      "vertices": [
-        [
-          "-2",
-          "-3"
-        ],
-        [
-          "3",
-          "4"
-        ],
-        [
-          "0",
-          "1"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "1",
-          "1"
-        ],
-        "length": "1",
-        "w": [
-          "-1",
-          "1"
-        ]
-      },
-      "vertices": [
-        [
-          "-2",
-          "-3"
-        ],
-        [
-          "0",
-          "-1"
-        ],
-        [
-          "1",
-          "2"
-        ],
-        [
-          "0",
-          "1"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "-1",
-          "1"
-        ],
-        "length": "1",
-        "w": [
-          "-1",
-          "-1"
-        ]
-      },
-      "vertices": [
-        [
-          "-7",
-          "2"
-        ],
-        [
-          "-2",
-          "-3"
-        ],
-        [
-          "1",
-          "0"
-        ]
-      ]
-    }
-  ]
-}
-""",
-    ),
-    "enumerate-tri-w235": (
-        ['enumerate', '@w235', '--triangles-only'], None,
-        """\
-{
-  "mutations": [
-    {
-      "factor": {
-        "f": [
-          "1",
-          "1"
-        ],
-        "length": "5",
-        "w": [
-          "-1",
-          "1"
-        ]
-      },
-      "vertices": [
-        [
-          "-4",
-          "-5"
-        ],
-        [
-          "6",
-          "7"
-        ],
-        [
-          "1",
-          "2"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "0",
-          "1"
-        ],
-        "length": "2",
-        "w": [
-          "-1",
-          "0"
-        ]
-      },
-      "vertices": [
-        [
-          "-4",
-          "-5"
-        ],
-        [
-          "1",
-          "0"
-        ],
-        [
-          "-4",
-          "3"
-        ]
-      ]
-    }
-  ]
-}
-""",
-    ),
-    "enumerate-text-w357": (
-        ['--format', 'text', 'enumerate', '@w357'], None,
-        """\
-8 mutation class(es)
-w=(-1, 0) f=(0, 1) l=2: [(-4, -7), (1, 0), (1, 1), (-4, 1)]
-w=(2, -1) f=(-1, -2) l=4: [(-7, -16), (1, 0), (1, 3), (0, 1)]
-w=(-1, 0) f=(0, 1) l=1: [(-4, -7), (1, 0), (1, 2), (-4, -3)]
-w=(2, -1) f=(-1, -2) l=3: [(-5, -12), (1, 0), (1, 3), (-1, -1)]
-w=(2, -1) f=(-1, -2) l=5: [(-9, -20), (1, 0), (1, 3)]
-w=(2, -1) f=(-1, -2) l=1: [(-3, -5), (-1, -4), (1, 0), (1, 3)]
-w=(2, -1) f=(-1, -2) l=2: [(-3, -8), (1, 0), (1, 3), (-2, -3)]
-w=(-1, 0) f=(0, 1) l=3: [(-4, -7), (1, 0), (-4, 5)]
-""",
-    ),
-    "enumerate-stdin-w1425": (
-        ['enumerate', '-'], 'w1425',
-        """\
-{
-  "mutations": [
-    {
-      "factor": {
-        "f": [
-          "-2",
-          "-13"
-        ],
-        "length": "1",
-        "w": [
-          "13",
-          "-2"
-        ]
-      },
-      "vertices": [
-        [
-          "-25",
-          "-169"
-        ],
-        [
-          "1",
-          "0"
-        ],
-        [
-          "0",
-          "1"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "1",
-          "5"
-        ],
-        "length": "1",
-        "w": [
-          "-5",
-          "1"
-        ]
-      },
-      "vertices": [
-        [
-          "-4",
-          "-25"
-        ],
-        [
-          "1",
-          "6"
-        ],
-        [
-          "0",
-          "1"
-        ]
-      ]
-    },
-    {
-      "factor": {
-        "f": [
-          "-1",
-          "1"
-        ],
-        "length": "1",
-        "w": [
-          "-1",
-          "-1"
-        ]
-      },
-      "vertices": [
-        [
-          "-33",
-          "4"
-        ],
-        [
-          "-4",
-          "-25"
-        ],
-        [
-          "1",
-          "0"
-        ]
-      ]
-    }
-  ]
-}
-""",
-    ),
-}
+    if "@out" in PINNED[op_id][0]:
+        assert out == ""
+        out = paths["out"].read_text()
+    assert out == (PINNED_DIR / f"{op_id}.txt").read_text()

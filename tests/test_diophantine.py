@@ -1,12 +1,18 @@
+import itertools
 import json
+import random
+import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from sympy import factorint, nextprime
 
 from fwpp.diophantine import (
+    MutationTree,
     NonIntegral,
+    TreeNode,
     build_mutation_tree,
     derive_equation,
     descend_to_minimal,
@@ -18,6 +24,7 @@ from fwpp.diophantine import (
     verify_solution,
 )
 from fwpp.fwps import NotDivisible, mutate_weights
+from fwpp.lattice import decimal_to_int
 
 
 def markov_solutions(bound):
@@ -41,6 +48,41 @@ def markov_solutions(bound):
     return sols
 
 
+def square_free_oracle(n):
+    """(c, a) with n = c a^2, c square-free, read off sympy's factorint."""
+    c = 1
+    for p, e in factorint(n).items():
+        if e % 2:
+            c *= p
+    return c, isqrt(n // c)
+
+
+def derive_oracle(weights):
+    """derive_equation as a tuple, by factoring every weight directly."""
+    lams = tuple(weights)
+    d = gcd(gcd(lams[0], lams[1]), lams[2])
+    c, a = zip(*(square_free_oracle(l // d) for l in lams))
+    q = Fraction(sum(lams) ** 2, lams[0] * lams[1] * lams[2])
+    num_c, num_a = square_free_oracle(q.numerator)
+    den_c, den_a = square_free_oracle(q.denominator)
+    r = num_c * den_c
+    g, S = square_free_oracle(c[0] * c[1] * c[2])
+    _, T = square_free_oracle(d * r)
+    return ((num_a * num_c, den_a, c, r), tuple(d * x for x in a), (d, S, T, g))
+
+
+def derived(weights):
+    eq, sol, deriv = derive_equation(weights)
+    return ((eq.m, eq.k, eq.c, eq.r), sol, (deriv.d, deriv.S, deriv.T, deriv.g))
+
+
+def max_branch(steps):
+    w = (1, 1, 1)
+    for _ in range(steps):
+        w = mutate_weights(w, 0)
+    return w
+
+
 class TestSquareFree:
     def test_12(self):
         d = square_free_decompose(12)
@@ -62,6 +104,28 @@ class TestSquareFree:
         while k * k <= d.c:
             assert d.c % (k * k) != 0
             k += 1
+
+    @given(st.integers(1, 2 * 10**5))
+    def test_matches_factorint_small(self, n):
+        d = square_free_decompose(n)
+        assert (d.c, d.a) == square_free_oracle(n)
+
+    # The cofactor left after trial division by the primes below 1000 is
+    # settled by one isqrt below 1000^3 and by sympy above it; primes below
+    # 31623 = isqrt(1000^3) + 1 give products on both sides.
+    big_primes = st.one_of(st.integers(1000, 31622),
+                           st.integers(31623, 10**7)).map(nextprime)
+
+    @given(st.integers(1, 10**4), big_primes, big_primes, st.booleans())
+    @example(1, 1009, 1013, False)
+    @example(1, 1009, 1009, True)
+    @example(1, 31607, 31627, False)  # 999_634_589 < 1000^3
+    @example(1, 31627, 31627, True)   # 1_000_267_129 > 1000^3
+    @example(1009, 1013, 1019, False)
+    def test_matches_factorint_large_primes(self, small, p, q, square):
+        n = small * p * (p if square else q)
+        d = square_free_decompose(n)
+        assert (d.c, d.a) == square_free_oracle(n)
 
 
 class TestDeriveEquation:
@@ -103,6 +167,36 @@ class TestDeriveEquation:
                 eq2, _, _ = derive_equation(target)
                 assert (eq2.m, eq2.k, eq2.r) == (eq.m, eq.k, eq.r)
                 assert sorted(eq2.c) == sorted(eq.c)
+
+
+class TestDeriveFromMinimalRoot:
+    """derive_equation against the direct factorisation of every weight."""
+
+    @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3),
+                                      (3, 5, 7), (5, 7, 12)],
+                             ids=lambda r: ",".join(map(str, r)))
+    def test_tree_nodes_in_shuffled_orders(self, root):
+        rng = random.Random(sum(root))
+        for node in build_mutation_tree(root, max_depth=7).nodes:
+            for w in (node.weights, tuple(rng.sample(node.weights, 3))):
+                assert derived(w) == derive_oracle(w), w
+
+    def test_all_small_triples(self):
+        for w in itertools.product(range(1, 31), repeat=3):
+            assert derived(w) == derive_oracle(w), w
+
+    @given(st.tuples(*[st.integers(1, 10**7)] * 3))
+    def test_random_triples(self, w):
+        assert derived(w) == derive_oracle(w)
+
+    def test_max_branch_step_11_is_fast(self):
+        w = max_branch(11)
+        start = time.perf_counter()
+        eq, sol, _ = derive_equation(w)
+        assert time.perf_counter() - start < 1.0
+        assert (eq.m, eq.k, eq.c, eq.r) == (3, 1, (1, 1, 1), 1)
+        assert verify_solution(eq, sol)
+        assert tuple(x * x for x in sol) == w
 
 
 class TestSolutions:
@@ -203,6 +297,13 @@ class TestMutationTree:
         for n in tree.nodes:
             sol = tuple(isqrt(x) for x in n.weights)
             assert verify_solution(eq, sol)
+
+    def test_json_of_weights_past_the_digit_limit(self):
+        w = max_branch(18)  # 2009, 3251 and 5261 digits
+        tree = MutationTree([TreeNode(weights=w, height=sum(w), depth=0)])
+        node = json.loads(tree_to_json(tree))["nodes"][0]
+        assert [decimal_to_int(x) for x in node["weights"]] == list(w)
+        assert decimal_to_int(node["height"]) == sum(w)
 
     def test_dot_and_json_output(self):
         tree = build_mutation_tree((1, 1, 1), max_depth=2)

@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fwpp.fwps import mutate_weights, wps_triangle
 from fwpp.lattice import (
     HeightOutOfRange,
     NonPrimitiveVertex,
     OriginNotInterior,
+    decimal_to_int,
     degree,
     dual_polygon,
     edge_lattice_length,
     height_range,
     height_slice,
+    int_to_decimal,
     is_primitive,
     make_fano_triangle,
     pairing,
@@ -224,4 +227,30 @@ class TestJson:
     def test_big_integers_survive(self):
         big = 10**30
         P = make_fano_triangle((1, 0), (0, 1), (-big, -(big + 1)))
+        assert triangle_from_json(triangle_to_json(P)) == P
+
+    # Python's int <-> str conversion refuses 4300 digits and more.
+    @pytest.mark.parametrize("n, text", [
+        (0, "0"),
+        (-7, "-7"),
+        (10**5000, "1" + "0" * 5000),
+        (10**5000 - 1, "9" * 5000),
+        (-(10**9000 + 1), "-1" + "0" * 8999 + "1"),
+        (10**4300 + 10**2150, "1" + "0" * 2149 + "1" + "0" * 2150),
+    ], ids=["0", "-7", "10^5000", "10^5000-1", "-(10^9000+1)", "10^4300+10^2150"])
+    def test_decimal_helpers_past_the_digit_limit(self, n, text):
+        assert int_to_decimal(n) == text
+        assert decimal_to_int(text) == n
+
+    def test_decimal_helpers_round_trip(self):
+        for n in (3**20000, -(7**9000), 2**50000 + 1):
+            text = int_to_decimal(n)
+            assert text.lstrip("-")[0] != "0"
+            assert decimal_to_int(text) == n
+
+    def test_weights_past_the_digit_limit_survive(self):
+        w = (1, 1, 1)
+        for _ in range(18):  # max-growth Markov branch: 5261-digit weights
+            w = mutate_weights(w, 0)
+        P = wps_triangle(*w)
         assert triangle_from_json(triangle_to_json(P)) == P
