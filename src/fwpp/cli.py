@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from . import diophantine, fwps, lattice, mutation, pell357
 
+_text = lattice.format_ints
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -45,26 +47,41 @@ def _jsonable(value):
 
 def _emit(args, obj, text_lines, dot=None):
     """Write obj as JSON, or the document of the text_lines() or dot()
-    callable, which are only called when that format is asked for."""
+    callable, which are only called when that format is asked for. A
+    callable obj gives the JSON document itself, in chunks, which are
+    written as they come."""
     fmt = args.format
     if fmt == "json":
-        out = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+        if callable(obj):
+            chunks = obj()
+        else:
+            chunks = [json.dumps(_jsonable(obj), sort_keys=True, indent=2)]
     elif fmt == "dot":
-        out = dot() + "\n"
+        chunks = [dot()]
     else:
-        out = "\n".join(text_lines()) + "\n"
+        chunks = ["\n".join(text_lines())]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+            fh.writelines(chunks)
+            fh.write("\n")
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+
+
+def _int(text: str) -> int:
+    """int(text), except that decimal tokens of any length are read with
+    lattice.decimal_to_int, past Python's int/str digit limit."""
+    if lattice._DECIMAL.fullmatch(text):
+        return lattice.decimal_to_int(text)
+    return int(text)
 
 
 def _parse_point(text: str) -> tuple[int, int]:
     parts = text.replace("(", "").replace(")", "").split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return (_int(parts[0]), _int(parts[1]))
 
 
 def _factor_obj(factor: mutation.Factor) -> dict:
@@ -95,9 +112,10 @@ def cmd_analyze(args) -> int:
         "edges": edges,
     }
     _emit(args, obj, lambda: [
-        f"weights: {inv.weights}  mult: {inv.mult}  degree: {inv.degree}",
+        f"weights: {_text(inv.weights)}  mult: {_text(inv.mult)}"
+        f"  degree: {_text(inv.degree)}",
     ] + [
-        f"edge {e['from']} -> {e['to']}: {e['type']}"
+        f"edge {_text(e['from'])} -> {_text(e['to'])}: {e['type']}"
         f" ({'T' if e['t_singularity'] else 'not T'})"
         for e in edges
     ])
@@ -109,7 +127,7 @@ def cmd_mutate(args) -> int:
     factor = mutation.Factor(w=args.width, f=args.factor, length=args.length)
     Q = mutation.mutate_with(P, factor)
     obj = lattice.polygon_to_obj(Q)
-    _emit(args, obj, lambda: [str(list(v)) for v in Q])
+    _emit(args, obj, lambda: [_text(list(v)) for v in Q])
     return 0
 
 
@@ -123,7 +141,8 @@ def cmd_enumerate(args) -> int:
         ]
     }
     _emit(args, obj, lambda: [f"{len(results)} mutation class(es)"] + [
-        f"w={f.w} f={f.f} l={f.length}: {list(Q)}" for f, Q in results
+        f"w={_text(f.w)} f={_text(f.f)} l={_text(f.length)}: {_text(list(Q))}"
+        for f, Q in results
     ])
     return 0
 
@@ -135,14 +154,14 @@ def cmd_weights_mutate(args) -> int:
         _emit(args, {"result": None, "reason": str(exc)},
               lambda: [f"no mutation: {exc}"])
     else:
-        _emit(args, {"result": list(target)}, lambda: [str(tuple(target))])
+        _emit(args, {"result": list(target)}, lambda: [_text(target)])
     return 0
 
 
 def cmd_minimal(args) -> int:
     path = diophantine.descend_to_minimal(tuple(args.weights))
     obj = {"path": [list(w) for w in path], "minimal": list(path[-1])}
-    _emit(args, obj, lambda: [" -> ".join(str(w) for w in path)])
+    _emit(args, obj, lambda: [" -> ".join(_text(w) for w in path)])
     return 0
 
 
@@ -150,9 +169,8 @@ def cmd_tree(args) -> int:
     tree = diophantine.build_mutation_tree(
         tuple(args.weights), max_depth=args.depth, max_height=args.max_height
     )
-    obj = diophantine.tree_to_obj(tree)
-    _emit(args, obj, lambda: [
-        f"{'  ' * n.depth}{n.weights} h={n.height}"
+    _emit(args, lambda: diophantine._tree_json_chunks(tree, quoted=True), lambda: [
+        f"{'  ' * n.depth}{_text(n.weights)} h={_text(n.height)}"
         + (" [truncated]" if n.truncated else "")
         for n in tree.nodes
     ], dot=lambda: diophantine.tree_to_dot(tree))
@@ -170,7 +188,7 @@ def cmd_diophantine(args) -> int:
         "solution": list(sol),
         "derivation": {"d": deriv.d, "S": deriv.S, "T": deriv.T, "g": deriv.g},
     }
-    _emit(args, obj, lambda: [str(eq), f"solution: {sol}"])
+    _emit(args, obj, lambda: [str(eq), f"solution: {_text(sol)}"])
     return 0
 
 
@@ -206,13 +224,14 @@ def cmd_pell(args) -> int:
             for n, row in enumerate(rows)
         ]
     }
-    _emit(args, obj, lambda: [f"n={n} {keys[0]}={r[0]} {keys[1]}={r[1]} M={r[2]}"
-                              for n, r in enumerate(rows)])
+    _emit(args, obj, lambda: [
+        f"n={n} {keys[0]}={_text(r[0])} {keys[1]}={_text(r[1])} M={_text(r[2])}"
+        for n, r in enumerate(rows)])
     return 0
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return n
@@ -250,8 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def weights_cmd(name, func, help_):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("weights", type=_positive_int, nargs=3,
-                       metavar=("L0", "L1", "L2"))
+        # A tuple metavar breaks argparse's help and missing-argument
+        # messages for positionals, so the three weights share one name.
+        p.add_argument("weights", type=_positive_int, nargs=3, metavar="L",
+                       help="the three positive weights L0 L1 L2")
         p.set_defaults(func=func)
         return p
 
@@ -270,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsing", help="classify a quotient singularity 1/r(a,b)")
     p.add_argument("r", type=_positive_int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
     p.set_defaults(func=cmd_tsing)
 
     p = sub.add_parser("pell", help="terms of the Pell families of the 3-5-7 equation")
@@ -285,6 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse (seen on Python 3.11) reads "--opt=--" as an empty list and
+    # skips the option's type and choices checks.
+    if any(value == [] for value in vars(args).values()):
+        parser.error("an option was given '--' as its value")
     if args.command == "tree" and args.depth is None and args.max_height is None:
         args.depth = 5
     try:

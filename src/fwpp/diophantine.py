@@ -7,13 +7,12 @@ with DOT/JSON export.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .fwps import NotDivisible, canon_weights, is_well_formed, mutate_weights
+from .fwps import _step, _well_formed_weights, is_well_formed
 from .lattice import int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
@@ -47,12 +46,12 @@ class DiophantineEquation:
 
     def __str__(self) -> str:
         def term(ci, i):
-            return f"{ci}*x{i}^2" if ci != 1 else f"x{i}^2"
+            return f"{int_to_decimal(ci)}*x{i}^2" if ci != 1 else f"x{i}^2"
 
         rhs = " + ".join(term(ci, i) for i, ci in enumerate(self.c))
-        lhs = f"{self.m}*x0*x1*x2" if self.m != 1 else "x0*x1*x2"
+        lhs = f"{int_to_decimal(self.m)}*x0*x1*x2" if self.m != 1 else "x0*x1*x2"
         if self.k != 1:
-            rhs = f"{self.k}*({rhs})"
+            rhs = f"{int_to_decimal(self.k)}*({rhs})"
         return f"{lhs} = {rhs}"
 
 
@@ -186,34 +185,23 @@ def height(weights) -> int:
     return sum(int(x) for x in weights)
 
 
-def _decreasing_mutations(w):
-    """Distinct strictly height-decreasing weight mutations of w, as a list
-    of (pivot, target); by the descent lemma there is at most one target."""
-    h = height(w)
-    out = {}
-    for pivot in range(3):
-        try:
-            target = mutate_weights(w, pivot)
-        except NotDivisible:
-            continue
-        if height(target) < h:
-            out.setdefault(target, pivot)
-    return [(pivot, target) for target, pivot in out.items()]
-
-
 def descend_to_minimal(weights):
     """Path of weight triples from the input down to the minimal weights of
-    its mutation component (heights strictly decreasing)."""
-    w = canon_weights(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"weights {w!r} are not well-formed")
+    its mutation component (heights strictly decreasing).
+
+    Mutating at pivot p lowers the height iff lambda_p' < lambda_p, that is
+    iff li + lj < lp, which in a sorted triple can only hold at p = 2 (the
+    descent lemma). Mutation keeps weights well-formed, so only the input
+    is checked.
+    """
+    w = _well_formed_weights(weights)
     path = [w]
-    while True:
-        steps = _decreasing_mutations(path[-1])
-        if not steps:
-            return path
-        assert len(steps) == 1, "descent lemma violated"
-        path.append(steps[0][1])
+    while w[0] + w[1] < w[2]:
+        w = _step(w, 2)
+        if w is None:
+            break
+        path.append(w)
+    return path
 
 
 @dataclass
@@ -248,7 +236,7 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     if max_depth is None and max_height is None:
         raise ValueError("need max_depth and/or max_height")
     root_w = descend_to_minimal(weights)[-1]
-    nodes = [TreeNode(weights=root_w, height=height(root_w), depth=0)]
+    nodes = [TreeNode(weights=root_w, height=sum(root_w), depth=0)]
     seen = {root_w}
     queue = deque([0])
     while queue:
@@ -257,24 +245,24 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
         if max_depth is not None and node.depth >= max_depth:
             node.truncated = True
             continue
+        # Pivot p raises the height iff li + lj > lp, i.e. 2 lp < height;
+        # the root is well-formed and mutation keeps it so.
+        w, h = node.weights, node.height
         targets = {}
         for pivot in range(3):
-            try:
-                target = mutate_weights(node.weights, pivot)
-            except NotDivisible:
-                continue
-            if height(target) > node.height:
+            if 2 * w[pivot] < h and (target := _step(w, pivot)) is not None:
                 targets.setdefault(target, pivot)
         for target in sorted(targets):
             if target in seen:
                 continue
-            if max_height is not None and height(target) > max_height:
+            target_h = sum(target)
+            if max_height is not None and target_h > max_height:
                 node.truncated = True
                 continue
             seen.add(target)
             child = TreeNode(
                 weights=target,
-                height=height(target),
+                height=target_h,
                 depth=node.depth + 1,
                 parent=idx,
                 pivot=targets[target],
@@ -285,31 +273,57 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     return MutationTree(nodes=nodes)
 
 
-def tree_to_obj(tree: MutationTree) -> dict:
-    """JSON-ready document: nodes array with parent indices and pivots."""
-    return {
-        "nodes": [
-            {
-                "weights": [int_to_decimal(x) for x in n.weights],
-                "height": int_to_decimal(n.height),
-                "depth": n.depth,
-                "parent": n.parent,
-                "pivot": n.pivot,
-                "truncated": n.truncated,
-            }
-            for n in tree.nodes
-        ]
-    }
+def _tree_json_chunks(tree: MutationTree, quoted: bool = False):
+    """The nodes document of the tree, as json.dumps(..., sort_keys=True,
+    indent=2) writes it, in one chunk per node plus a closing chunk.
+
+    Weights and heights are decimal strings; each distinct weight is
+    converted once, although a child repeats two of its parent's. depth,
+    parent and pivot are JSON ints, or decimal strings when quoted.
+    """
+    decimals = {}
+
+    def dec(x):
+        text = decimals.get(x)
+        if text is None:
+            text = decimals[x] = int_to_decimal(x)
+        return text
+
+    def small(v):
+        if v is None:
+            return "null"
+        return f'"{v}"' if quoted else str(v)
+
+    head = '{\n  "nodes": [\n'
+    for n in tree.nodes:
+        a, b, c = n.weights
+        yield (
+            f'{head}    {{\n'
+            f'      "depth": {small(n.depth)},\n'
+            f'      "height": "{int_to_decimal(n.height)}",\n'
+            f'      "parent": {small(n.parent)},\n'
+            f'      "pivot": {small(n.pivot)},\n'
+            f'      "truncated": {"true" if n.truncated else "false"},\n'
+            f'      "weights": [\n'
+            f'        "{dec(a)}",\n'
+            f'        "{dec(b)}",\n'
+            f'        "{dec(c)}"\n'
+            f'      ]\n'
+            f'    }}'
+        )
+        head = ",\n"
+    yield "\n  ]\n}"
 
 
 def tree_to_json(tree: MutationTree) -> str:
-    return json.dumps(tree_to_obj(tree), sort_keys=True, indent=2)
+    return "".join(_tree_json_chunks(tree))
 
 
 def tree_to_dot(tree: MutationTree) -> str:
     lines = ["digraph mutations {"]
     for i, n in enumerate(tree.nodes):
-        label = ",".join(str(x) for x in n.weights) + f" (h={n.height})"
+        label = (",".join(int_to_decimal(x) for x in n.weights)
+                 + f" (h={int_to_decimal(n.height)})")
         shape = ' style=dashed' if n.truncated else ""
         lines.append(f'  n{i} [label="{label}"{shape}];')
     for i, n in enumerate(tree.nodes):

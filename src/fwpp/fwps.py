@@ -16,6 +16,7 @@ from .lattice import (
     LatticeError,
     Point,
     det,
+    format_ints,
     int_to_decimal,
     is_primitive,
     make_fano_triangle,
@@ -106,7 +107,9 @@ def quotient_singularity(r: int, a: int, b: int) -> QuotientSingularity:
     if r < 1:
         raise ValueError("index r must be positive")
     if r > 1 and (gcd(a % r, r) != 1 or gcd(b % r, r) != 1):
-        raise ValueError(f"1/{r}({a},{b}) is not isolated")
+        raise ValueError(
+            f"1/{int_to_decimal(r)}({int_to_decimal(a)},{int_to_decimal(b)})"
+            " is not isolated")
     if r == 1:
         return QuotientSingularity(r=1, a=0, raw=(r, a, b))
     c = (b * pow(a, -1, r)) % r
@@ -133,18 +136,41 @@ def is_T_singularity(s: QuotientSingularity) -> bool:
     return (1 + s.a) ** 2 % s.r == 0
 
 
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
+def _step(w, pivot):
+    """mutate_weights without the checks, on a sorted, well-formed triple
+    of ints: the sorted target, or None when w[pivot] does not divide."""
+    i, j = _OTHERS[pivot]
+    li, lj = w[i], w[j]
+    q, r = divmod((li + lj) ** 2, w[pivot])
+    if r:
+        return None
+    if q <= li:
+        return (q, li, lj)
+    return (li, q, lj) if q <= lj else (li, lj, q)
+
+
+def _well_formed_weights(weights) -> tuple[int, int, int]:
+    w = canon_weights(weights)
+    if not is_well_formed(w):
+        raise ValueError(f"weights {format_ints(w)} are not well-formed")
+    return w
+
+
 def mutate_weights(weights, pivot: int) -> tuple[int, int, int]:
     """One-step mutation of well-formed weights at the given pivot of the
     sorted triple: (li, lj, (li+lj)^2 / lp), sorted."""
-    w = canon_weights(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"weights {w!r} are not well-formed")
-    lp = w[pivot]
-    li, lj = (w[i] for i in range(3) if i != pivot)
-    sq = (li + lj) ** 2
-    if sq % lp != 0:
-        raise NotDivisible(f"{lp} does not divide ({li}+{lj})^2")
-    return tuple(sorted((li, lj, sq // lp)))
+    w = _well_formed_weights(weights)
+    if pivot not in (0, 1, 2):
+        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot!r}")
+    target = _step(w, pivot)
+    if target is None:
+        li, lj = (int_to_decimal(w[i]) for i in _OTHERS[pivot])
+        raise NotDivisible(
+            f"{int_to_decimal(w[pivot])} does not divide ({li}+{lj})^2")
+    return target
 
 
 def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
@@ -155,16 +181,15 @@ def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
     For mult = 1 this decides geometric existence; for mult > 1 it is only
     a necessary condition and a geometric witness is required.
     """
-    weights = X.weights if isinstance(X, FwpsInvariants) else canon_weights(X)
+    weights = _well_formed_weights(
+        X.weights if isinstance(X, FwpsInvariants) else X)
     out = []
     for pivot in range(3):
-        try:
-            target = mutate_weights(weights, pivot)
-        except NotDivisible:
+        target = _step(weights, pivot)
+        if target is None:
             continue
-        lp = weights[pivot]
-        li, lj = (weights[i] for i in range(3) if i != pivot)
-        t_sing = is_T_singularity(quotient_singularity(lp, li, lj))
+        li, lj = (weights[i] for i in _OTHERS[pivot])
+        t_sing = is_T_singularity(quotient_singularity(weights[pivot], li, lj))
         out.append((pivot, target, t_sing))
     return out
 

@@ -110,12 +110,12 @@ def validate_fano_polygon(vertices) -> None:
         raise OriginNotInterior(f"degenerate polygon {vertices!r}")
     for v in vertices:
         if not is_primitive(v):
-            raise NonPrimitiveVertex(f"vertex {v!r} is not primitive")
+            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
     for i in range(k):
         p, q = vertices[i], vertices[(i + 1) % k]
         if det(p, q) <= 0:
             raise OriginNotInterior(
-                f"origin not strictly interior (edge {p!r} -> {q!r})"
+                f"origin not strictly interior (edge {format_ints(p)} -> {format_ints(q)})"
             )
 
 
@@ -155,7 +155,7 @@ def make_fano_triangle(v0, v1, v2) -> FanoTriangle:
     vs = [(int(v0[0]), int(v0[1])), (int(v1[0]), int(v1[1])), (int(v2[0]), int(v2[1]))]
     for v in vs:
         if not is_primitive(v):
-            raise NonPrimitiveVertex(f"vertex {v!r} is not primitive")
+            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
     if det(vs[0], vs[1]) < 0:
         vs = [vs[0], vs[2], vs[1]]
     verts = tuple(vs)
@@ -313,6 +313,20 @@ def decimal_to_int(text: str) -> int:
     k = len(digits) // 2
     value = decimal_to_int(digits[:-k]) * 10**k + decimal_to_int(digits[-k:])
     return -value if text.startswith("-") else value
+
+
+def format_ints(value) -> str:
+    """str() of an int or Fraction, or repr() of a tuple or list of them,
+    with int_to_decimal for every integer so that any size prints."""
+    if isinstance(value, int):
+        return int_to_decimal(value)
+    if isinstance(value, Fraction):
+        num = int_to_decimal(value.numerator)
+        if value.denominator == 1:
+            return num
+        return f"{num}/{int_to_decimal(value.denominator)}"
+    inner = ", ".join(format_ints(v) for v in value)
+    return f"[{inner}]" if isinstance(value, list) else f"({inner})"
 
 
 def polygon_to_obj(vertices) -> dict:

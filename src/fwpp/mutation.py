@@ -29,6 +29,7 @@ from .lattice import (
     apply_matrix,
     convex_hull,
     dual_polygon,
+    format_ints,
     is_primitive,
     pairing,
     polygon_vertices,
@@ -58,9 +59,9 @@ class Factor:
 
     def __post_init__(self):
         if not is_primitive(self.w):
-            raise InvalidFactor(f"width {self.w!r} must be primitive")
+            raise InvalidFactor(f"width {format_ints(self.w)} must be primitive")
         if not is_primitive(self.f):
-            raise InvalidFactor(f"direction {self.f!r} must be primitive")
+            raise InvalidFactor(f"direction {format_ints(self.f)} must be primitive")
         if pairing(self.w, self.f) != 0:
             raise InvalidFactor("factor direction must lie at height zero")
         if self.length < 1:

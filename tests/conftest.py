@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from fwpp.fwps import mutate_weights
 from fwpp.lattice import LatticeError, make_fano_triangle
 
 
@@ -27,3 +29,29 @@ def corpus():
 @pytest.fixture(scope="session")
 def small_corpus():
     return random_fano_triangles(40, bound=6, seed=7)
+
+
+@pytest.fixture(scope="session")
+def max_growth_branch():
+    """The 18 steps of the max-growth Markov branch (1,1,1), (1,1,4),
+    (1,4,25), ...; the last triple has 2009, 3251 and 5261 digits, past
+    Python's 4300-digit int/str limit."""
+    path = [(1, 1, 1)]
+    for _ in range(18):
+        path.append(mutate_weights(path[-1], 0))
+    return path
+
+
+@pytest.fixture
+def without_digit_limit():
+    """call(f) runs f() with Python's int/str digit limit lifted, so that
+    tests can spell the expected text of huge integers with str() and
+    repr()."""
+    def call(f):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f()
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return call

@@ -4,18 +4,21 @@ import os
 import pathlib
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
 import fwpp
 from fwpp.cli import main
-from fwpp.fwps import mutate_weights, wps_triangle
+from fwpp.fwps import cone_singularity, weights_of, wps_triangle
 from fwpp.lattice import (
     decimal_to_int,
+    int_to_decimal,
     make_fano_triangle,
     triangle_from_json,
     triangle_to_json,
 )
+from fwpp.mutation import enumerate_one_step
 
 P2_JSON = triangle_to_json(make_fano_triangle((1, -1), (-1, 2), (0, -1)))
 
@@ -220,10 +223,9 @@ class TestMalformedTriangle:
 
 
 class TestBigIntegers:
-    def test_analyze_weights_past_the_digit_limit(self, capsys, tmp_path):
-        w = (1, 1, 1)
-        for _ in range(18):  # max-growth Markov branch: 5261-digit weights
-            w = mutate_weights(w, 0)
+    def test_analyze_weights_past_the_digit_limit(self, capsys, tmp_path,
+                                                  max_growth_branch):
+        w = max_growth_branch[-1]
         P = wps_triangle(*w)
         path = tmp_path / "big.json"
         path.write_text(triangle_to_json(P))
@@ -234,6 +236,59 @@ class TestBigIntegers:
         assert (doc["mult"], doc["degree"]) == ("1", "9/1")
         assert triangle_from_json(json.dumps(doc)) == P
         assert sorted(decimal_to_int(e["r"]) for e in doc["edges"]) == list(w)
+
+    def test_minimal_argument_past_the_digit_limit(self, capsys):
+        n = 10**4400 + 1
+        code, out, err = run(capsys, ["minimal", "1", "1", int_to_decimal(n)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [decimal_to_int(x) for x in doc["minimal"]] == [1, 1, n]
+
+    def test_errors_quote_integers_past_the_digit_limit(
+            self, capsys, tmp_path, p2_file, without_digit_limit):
+        n = 2 * 10**4400
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"vertices": [[int_to_decimal(n), "2"],
+                                                 ["0", "1"], ["-1", "-1"]]}))
+        for argv, message in [
+                (["analyze", str(path)], lambda: f"vertex {(n, 2)} is not primitive"),
+                (["mutate", p2_file, f"--width={int_to_decimal(n)},2", "--factor=1,0"],
+                 lambda: f"width {(n, 2)} must be primitive")]:
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == without_digit_limit(lambda: f"error: {message()}\n")
+
+    def test_text_past_the_digit_limit(self, capsys, tmp_path, max_growth_branch,
+                                       without_digit_limit):
+        w = max_growth_branch[-1]
+        P = wps_triangle(*w)
+        path = tmp_path / "big.json"
+        path.write_text(triangle_to_json(P))
+        args = [int_to_decimal(x) for x in w]
+        inv = weights_of(P)
+        vs = P.vertices
+        edges = [(vs[i], vs[(i + 1) % 3]) for i in range(3)]
+        singularities = [cone_singularity(u, v) for u, v in edges]
+        classes = enumerate_one_step(P)
+
+        def expected():
+            return {
+                "analyze": [f"weights: {inv.weights}  mult: 1  degree: 9"] + [
+                    f"edge {list(u)} -> {list(v)}: {s} (T)"
+                    for (u, v), s in zip(edges, singularities)],
+                "enumerate": [f"{len(classes)} mutation class(es)"] + [
+                    f"w={f.w} f={f.f} l={f.length}: {list(Q)}" for f, Q in classes],
+                "minimal": [" -> ".join(str(x) for x in max_growth_branch[::-1])],
+                "diophantine": ["3*x0*x1*x2 = x0^2 + x1^2 + x2^2",
+                                f"solution: {tuple(isqrt(x) for x in w)}"],
+            }
+
+        expected = without_digit_limit(expected)
+        for command, argv in [("analyze", [str(path)]), ("enumerate", [str(path)]),
+                              ("minimal", args), ("diophantine", args)]:
+            code, out, err = run(capsys, ["--format", "text", command, *argv])
+            assert (code, err) == (0, ""), command
+            assert out.splitlines() == expected[command], command
 
 
 def test_sympy_not_imported():

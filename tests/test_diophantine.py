@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from sympy import factorint, nextprime
 
 from fwpp.diophantine import (
+    DiophantineEquation,
     MutationTree,
     NonIntegral,
     TreeNode,
@@ -76,13 +77,6 @@ def derived(weights):
     return ((eq.m, eq.k, eq.c, eq.r), sol, (deriv.d, deriv.S, deriv.T, deriv.g))
 
 
-def max_branch(steps):
-    w = (1, 1, 1)
-    for _ in range(steps):
-        w = mutate_weights(w, 0)
-    return w
-
-
 class TestSquareFree:
     def test_12(self):
         d = square_free_decompose(12)
@@ -141,6 +135,12 @@ class TestDeriveEquation:
         assert sol == (2, 1, 1)
         assert str(eq) == "12*x0*x1*x2 = 3*x0^2 + 5*x1^2 + 7*x2^2"
 
+    def test_text_past_the_digit_limit(self, without_digit_limit):
+        m = 10**4400 + 7
+        eq = DiophantineEquation(m=m, k=m + 2, c=(m, 1, 3), r=1)
+        assert str(eq) == without_digit_limit(
+            lambda: f"{m}*x0*x1*x2 = {m + 2}*({m}*x0^2 + x1^2 + 3*x2^2)")
+
     def test_114_same_markov_equation(self):
         eq, sol, _ = derive_equation((1, 1, 4))
         assert (eq.m, eq.k, eq.c) == (3, 1, (1, 1, 1))
@@ -189,8 +189,8 @@ class TestDeriveFromMinimalRoot:
     def test_random_triples(self, w):
         assert derived(w) == derive_oracle(w)
 
-    def test_max_branch_step_11_is_fast(self):
-        w = max_branch(11)
+    def test_max_branch_step_11_is_fast(self, max_growth_branch):
+        w = max_growth_branch[11]
         start = time.perf_counter()
         eq, sol, _ = derive_equation(w)
         assert time.perf_counter() - start < 1.0
@@ -298,8 +298,8 @@ class TestMutationTree:
             sol = tuple(isqrt(x) for x in n.weights)
             assert verify_solution(eq, sol)
 
-    def test_json_of_weights_past_the_digit_limit(self):
-        w = max_branch(18)  # 2009, 3251 and 5261 digits
+    def test_json_of_weights_past_the_digit_limit(self, max_growth_branch):
+        w = max_growth_branch[-1]
         tree = MutationTree([TreeNode(weights=w, height=sum(w), depth=0)])
         node = json.loads(tree_to_json(tree))["nodes"][0]
         assert [decimal_to_int(x) for x in node["weights"]] == list(w)

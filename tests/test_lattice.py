@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fwpp.fwps import mutate_weights, wps_triangle
+from fwpp.fwps import wps_triangle
 from fwpp.lattice import (
     HeightOutOfRange,
     NonPrimitiveVertex,
@@ -248,9 +248,6 @@ class TestJson:
             assert text.lstrip("-")[0] != "0"
             assert decimal_to_int(text) == n
 
-    def test_weights_past_the_digit_limit_survive(self):
-        w = (1, 1, 1)
-        for _ in range(18):  # max-growth Markov branch: 5261-digit weights
-            w = mutate_weights(w, 0)
-        P = wps_triangle(*w)
+    def test_weights_past_the_digit_limit_survive(self, max_growth_branch):
+        P = wps_triangle(*max_growth_branch[-1])
         assert triangle_from_json(triangle_to_json(P)) == P

@@ -1,0 +1,230 @@
+"""Mutation trees, their JSON and the descent against the all-pivot oracles.
+
+The library builds trees and descends with one unchecked weight step that
+only tries the pivots able to raise (or lower) the height, and writes tree
+JSON node by node. The oracles below are the straightforward versions:
+every pivot through the public, validating mutate_weights, and the JSON of
+a dict document through json.dumps.
+"""
+
+import contextlib
+import io
+import json
+import random
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fwpp.cli import _jsonable, main
+from fwpp.diophantine import (
+    MutationTree,
+    TreeNode,
+    build_mutation_tree,
+    descend_to_minimal,
+    height,
+    tree_to_dot,
+    tree_to_json,
+)
+from fwpp.fwps import NotDivisible, is_well_formed, mutate_weights
+
+
+def descent_oracle(weights):
+    """Descent trying every pivot, asserting the descent lemma."""
+    path = [tuple(sorted(weights))]
+    while True:
+        w = path[-1]
+        down = set()
+        for pivot in range(3):
+            try:
+                t = mutate_weights(w, pivot)
+            except NotDivisible:
+                continue
+            if height(t) < height(w):
+                down.add(t)
+        if not down:
+            return path
+        assert len(down) == 1, "descent lemma violated"
+        path.append(down.pop())
+
+
+def tree_oracle(weights, max_depth=None, max_height=None) -> MutationTree:
+    """Breadth-first tree that mutates every node at every pivot and keeps
+    the height-increasing targets, in sorted order, first pivot winning."""
+    root_w = descent_oracle(weights)[-1]
+    nodes = [TreeNode(weights=root_w, height=height(root_w), depth=0)]
+    seen = {root_w}
+    queue = deque([0])
+    while queue:
+        idx = queue.popleft()
+        node = nodes[idx]
+        if max_depth is not None and node.depth >= max_depth:
+            node.truncated = True
+            continue
+        targets = {}
+        for pivot in range(3):
+            try:
+                target = mutate_weights(node.weights, pivot)
+            except NotDivisible:
+                continue
+            if height(target) > node.height:
+                targets.setdefault(target, pivot)
+        for target in sorted(targets):
+            if target in seen:
+                continue
+            if max_height is not None and height(target) > max_height:
+                node.truncated = True
+                continue
+            seen.add(target)
+            nodes.append(TreeNode(weights=target, height=height(target),
+                                  depth=node.depth + 1, parent=idx,
+                                  pivot=targets[target]))
+            node.children.append(len(nodes) - 1)
+            queue.append(len(nodes) - 1)
+    return MutationTree(nodes=nodes)
+
+
+def tree_obj_oracle(tree) -> dict:
+    """The tree as a JSON-ready dict: decimal-string weights and heights."""
+    return {"nodes": [{"weights": [str(x) for x in n.weights],
+                       "height": str(n.height),
+                       "depth": n.depth,
+                       "parent": n.parent,
+                       "pivot": n.pivot,
+                       "truncated": n.truncated} for n in tree.nodes]}
+
+
+def json_oracle(tree) -> str:
+    return json.dumps(tree_obj_oracle(tree), sort_keys=True, indent=2)
+
+
+def cli_json_oracle(tree) -> str:
+    """What `fwpp tree` printed: every int, depth and parent too, quoted."""
+    return json.dumps(_jsonable(tree_obj_oracle(tree)), sort_keys=True,
+                      indent=2) + "\n"
+
+
+def assert_tree_matches(root, **bounds):
+    tree = build_mutation_tree(root, **bounds)
+    oracle = tree_oracle(root, **bounds)
+    assert tree.nodes == oracle.nodes
+    assert tree_to_json(tree) == json_oracle(oracle)
+
+
+ROOTS = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (3, 5, 7), (5, 7, 12), (3, 5, 11)]
+BOUNDS = [{"max_depth": 7}, {"max_height": 10**12},
+          {"max_depth": 6, "max_height": 10**6}]
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=["depth", "height", "both"])
+@pytest.mark.parametrize("root", ROOTS, ids=lambda r: ",".join(map(str, r)))
+def test_tree_matches_oracle(root, bounds):
+    assert_tree_matches(root, **bounds)
+
+
+def test_tree_from_a_non_minimal_input_matches_oracle():
+    assert_tree_matches((4, 25, 841), max_depth=5)
+    assert_tree_matches((7, 5, 3), max_depth=0)
+
+
+well_formed = st.tuples(*[st.integers(1, 10**6)] * 3).filter(is_well_formed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(well_formed, st.one_of(st.none(), st.integers(0, 6)),
+       st.one_of(st.none(), st.integers(1, 10**15)))
+def test_tree_matches_oracle_on_drawn_roots(root, max_depth, max_height):
+    if max_depth is None and max_height is None:
+        max_depth = 4
+    assert_tree_matches(root, max_depth=max_depth, max_height=max_height)
+
+
+def test_tree_rejects_bad_input():
+    with pytest.raises(ValueError, match="not well-formed"):
+        build_mutation_tree((2, 4, 7), max_depth=2)
+    with pytest.raises(ValueError, match="need max_depth"):
+        build_mutation_tree((1, 1, 1))
+
+
+def branch_tree(branch):
+    """The max-growth branch as a path-shaped tree, last node truncated."""
+    return MutationTree(nodes=[
+        TreeNode(weights=w, height=sum(w), depth=i, parent=i - 1 if i else None,
+                 pivot=0 if i else None, children=[i + 1] if i + 1 < len(branch) else [],
+                 truncated=i == len(branch) - 1)
+        for i, w in enumerate(branch)])
+
+
+def test_json_past_the_digit_limit_matches_oracle(max_growth_branch,
+                                                  without_digit_limit):
+    # Children repeat two of their parent's weights; the writer converts
+    # each distinct weight once, which must not change a byte.
+    for tree in (build_mutation_tree(max_growth_branch[12], max_depth=3),
+                 branch_tree(max_growth_branch)):
+        assert tree_to_json(tree) == without_digit_limit(lambda: json_oracle(tree))
+
+
+def test_dot_past_the_digit_limit(max_growth_branch, without_digit_limit):
+    tree = branch_tree(max_growth_branch)
+
+    def dot_oracle():
+        lines = ["digraph mutations {"]
+        for i, n in enumerate(tree.nodes):
+            label = ",".join(map(str, n.weights)) + f" (h={n.height})"
+            style = " style=dashed" if n.truncated else ""
+            lines.append(f'  n{i} [label="{label}"{style}];')
+        lines += [f'  n{i} -> n{i + 1} [label="0"];' for i in range(len(tree.nodes) - 1)]
+        return "\n".join(lines + ["}"])
+
+    assert tree_to_dot(tree) == without_digit_limit(dot_oracle)
+
+
+# --- the CLI's quoted format --------------------------------------------------
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("root,depth,max_height", [
+    ((1, 1, 1), 6, None),
+    ((1, 2, 3), None, 100000),
+    ((3, 5, 7), 4, 5000),
+    ((3, 5, 11), 3, None),
+])
+def test_cli_tree_matches_oracle(root, depth, max_height, tmp_path):
+    expected = cli_json_oracle(tree_oracle(root, max_depth=depth,
+                                           max_height=max_height))
+    argv = ["tree", *map(str, root)]
+    if depth is not None:
+        argv += ["--depth", str(depth)]
+    if max_height is not None:
+        argv += ["--max-height", str(max_height)]
+    assert run_cli(argv) == (0, expected)
+    dest = tmp_path / "tree.json"
+    assert run_cli(["--output", str(dest), *argv]) == (0, "")
+    assert dest.read_text() == expected
+
+
+# --- descent -------------------------------------------------------------------
+
+def test_descent_matches_oracle_on_tree_nodes():
+    rng = random.Random(4)
+    for root in ROOTS:
+        for node in tree_oracle(root, max_depth=7).nodes:
+            w = tuple(rng.sample(node.weights, 3))
+            assert descend_to_minimal(w) == descent_oracle(w), w
+
+
+@settings(max_examples=300)
+@given(well_formed)
+def test_descent_matches_oracle_on_random_triples(w):
+    assert descend_to_minimal(w) == descent_oracle(w)
+
+
+def test_descent_rejects_bad_weights():
+    for w in [(2, 4, 7), (0, 1, 1), (1, 2)]:
+        with pytest.raises(ValueError):
+            descend_to_minimal(w)
