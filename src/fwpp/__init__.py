@@ -4,16 +4,12 @@ Diophantine equations, mutation trees, and the 3/5/7 Pell families."""
 
 from .lattice import (
     FanoTriangle,
-    HeightRange,
-    HeightOutOfRange,
     LatticeError,
     NonPrimitiveVertex,
     OriginNotInterior,
     degree,
     dual_polygon,
     edge_lattice_length,
-    height_range,
-    height_slice,
     is_primitive,
     make_fano_triangle,
     triangle_from_json,

@@ -11,9 +11,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 
 from .fwps import _step, _well_formed_weights, is_well_formed
-from .lattice import int_to_decimal
+from .lattice import format_ints, int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
 # _TRIAL_LIMIT**3 has at most two prime factors, so an isqrt settles it.
@@ -148,9 +149,9 @@ def derive_equation(weights):
     square-free parts come from the minimal weights, and each input weight
     takes the one part that leaves a square quotient.
     """
-    lams = tuple(int(x) for x in weights)
+    lams = tuple(index(x) for x in weights)
     if len(lams) != 3 or min(lams) < 1:
-        raise ValueError(f"need three positive weights, got {weights!r}")
+        raise ValueError(f"need three positive weights, got {format_ints(lams)}")
     if not is_well_formed(lams):
         return _derive_direct(lams)
     root_eq, _, derivation = _derive_direct(descend_to_minimal(lams)[-1])
@@ -160,7 +161,7 @@ def derive_equation(weights):
 
 
 def verify_solution(eq: DiophantineEquation, s) -> bool:
-    x0, x1, x2 = (int(x) for x in s)
+    x0, x1, x2 = (index(x) for x in s)
     c0, c1, c2 = eq.c
     return eq.m * x0 * x1 * x2 == eq.k * (c0 * x0**2 + c1 * x1**2 + c2 * x2**2)
 
@@ -168,21 +169,20 @@ def verify_solution(eq: DiophantineEquation, s) -> bool:
 def mutate_solution(eq: DiophantineEquation, s, pivot: int):
     """(a0,a1,a2) -> ((m/k) ai aj / cp - ap, ...) at the pivot index;
     raises NonIntegral when the image is not a positive integer."""
-    s = tuple(int(x) for x in s)
+    s = tuple(index(x) for x in s)
     ai, aj = (s[i] for i in range(3) if i != pivot)
     new = Fraction(eq.m, eq.k) * ai * aj / eq.c[pivot] - s[pivot]
     if new.denominator != 1 or new <= 0:
-        raise NonIntegral(
-            f"pivot {pivot} transform of {s} gives {new}, not a positive integer"
-        )
+        raise NonIntegral(f"pivot {pivot} transform of {format_ints(s)} gives "
+                          f"{format_ints(new)}, not a positive integer")
     out = list(s)
-    out[pivot] = int(new)
+    out[pivot] = new.numerator
     return tuple(out)
 
 
 def height(weights) -> int:
     """Height of a weight triple: the sum of the weights."""
-    return sum(int(x) for x in weights)
+    return sum(index(x) for x in weights)
 
 
 def descend_to_minimal(weights):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .lattice import (
     FanoTriangle,
@@ -41,7 +42,6 @@ class QuotientSingularity:
 
     r: int
     a: int
-    raw: tuple[int, int, int]
 
     @property
     def is_smooth(self) -> bool:
@@ -61,15 +61,15 @@ class FwpsInvariants:
 
 
 def canon_weights(weights) -> tuple[int, int, int]:
-    w = tuple(sorted(int(x) for x in weights))
-    if len(w) != 3 or w[0] < 1:
-        raise ValueError(f"need three positive weights, got {weights!r}")
-    return w
+    w = tuple(index(x) for x in weights)
+    if len(w) != 3 or min(w) < 1:
+        raise ValueError(f"need three positive weights, got {format_ints(w)}")
+    return tuple(sorted(w))
 
 
 def is_well_formed(weights) -> bool:
     """True iff the weights are pairwise coprime."""
-    l0, l1, l2 = (int(x) for x in weights)
+    l0, l1, l2 = (index(x) for x in weights)
     return gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1
 
 
@@ -111,9 +111,9 @@ def quotient_singularity(r: int, a: int, b: int) -> QuotientSingularity:
             f"1/{int_to_decimal(r)}({int_to_decimal(a)},{int_to_decimal(b)})"
             " is not isolated")
     if r == 1:
-        return QuotientSingularity(r=1, a=0, raw=(r, a, b))
+        return QuotientSingularity(r=1, a=0)
     c = (b * pow(a, -1, r)) % r
-    return QuotientSingularity(r=r, a=_normalize_parameter(r, c), raw=(r, a, b))
+    return QuotientSingularity(r=r, a=_normalize_parameter(r, c))
 
 
 def cone_singularity(u, v) -> QuotientSingularity:
@@ -124,7 +124,7 @@ def cone_singularity(u, v) -> QuotientSingularity:
         raise ValueError("cone generators must be primitive")
     r = abs(det(u, v))
     if r == 0:
-        raise DegenerateCone(f"generators {u!r}, {v!r} are parallel")
+        raise DegenerateCone(f"generators {format_ints(u)}, {format_ints(v)} are parallel")
     # Send u to (1,0); then v = (p, r) and the type is 1/r(-p, 1).
     _, s, t = _egcd(u[0], u[1])
     p = s * v[0] + t * v[1]
@@ -197,9 +197,9 @@ def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
 def wps_triangle(l0: int, l1: int, l2: int) -> FanoTriangle:
     """A Fano triangle whose spanning fan defines P(l0, l1, l2); requires
     well-formed weights."""
-    w = (int(l0), int(l1), int(l2))
+    w = (index(l0), index(l1), index(l2))
     if min(w) < 1 or not is_well_formed(w):
-        raise ValueError(f"weights {w!r} must be positive and well-formed")
+        raise ValueError(f"weights {format_ints(w)} must be positive and well-formed")
     l0, l1, l2 = w
     v1: Point = (1, 0)
     c = (-l1 * pow(l2, -1, l0)) % l0 if l0 > 1 else 0

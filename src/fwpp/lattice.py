@@ -1,9 +1,10 @@
 """Exact lattice geometry for two-dimensional Fano polygons.
 
-All arithmetic is over Python ints and fractions.Fraction; there are no
-floats anywhere. Points are plain tuples and polygons are tuples of points
-in counterclockwise order starting from the lexicographically smallest
-vertex, so equality of canonicalized polygons is plain tuple equality.
+All arithmetic is over Python ints, with Fractions only in the dual polygon
+and the degree; floats are refused, never truncated. Points are plain tuples
+and polygons are tuples of points in counterclockwise order starting from the
+lexicographically smallest vertex, so equality of canonicalized polygons is
+plain tuple equality.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd
+from operator import index
 
 Point = tuple[int, int]
 
@@ -27,10 +29,6 @@ class NonPrimitiveVertex(LatticeError):
 
 
 class OriginNotInterior(LatticeError):
-    pass
-
-
-class HeightOutOfRange(LatticeError):
     pass
 
 
@@ -48,17 +46,6 @@ def is_primitive(p) -> bool:
     """True iff p is a nonzero lattice point with coprime coordinates."""
     x, y = p
     return (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
-
-
-def primitivize(u) -> Point:
-    """The primitive lattice point on the ray through u (u may be rational)."""
-    x, y = Fraction(u[0]), Fraction(u[1])
-    if x == 0 and y == 0:
-        raise ValueError("zero vector has no direction")
-    m = lcm(x.denominator, y.denominator)
-    a, b = int(x * m), int(y * m)
-    g = gcd(abs(a), abs(b))
-    return (a // g, b // g)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -107,7 +94,7 @@ def validate_fano_polygon(vertices) -> None:
     vertices and the origin strictly interior."""
     k = len(vertices)
     if k < 3:
-        raise OriginNotInterior(f"degenerate polygon {vertices!r}")
+        raise OriginNotInterior(f"degenerate polygon {format_ints(vertices)}")
     for v in vertices:
         if not is_primitive(v):
             raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
@@ -126,24 +113,6 @@ class FanoTriangle:
 
     vertices: tuple[Point, Point, Point]
 
-    @property
-    def v0(self) -> Point:
-        return self.vertices[0]
-
-    @property
-    def v1(self) -> Point:
-        return self.vertices[1]
-
-    @property
-    def v2(self) -> Point:
-        return self.vertices[2]
-
-
-@dataclass(frozen=True)
-class HeightRange:
-    h_min: int
-    h_max: int
-
 
 def canonical_cycle(vertices):
     """Rotate a cyclic vertex list so the lex-min vertex comes first."""
@@ -152,7 +121,7 @@ def canonical_cycle(vertices):
 
 
 def make_fano_triangle(v0, v1, v2) -> FanoTriangle:
-    vs = [(int(v0[0]), int(v0[1])), (int(v1[0]), int(v1[1])), (int(v2[0]), int(v2[1]))]
+    vs = [(index(x), index(y)) for x, y in (v0, v1, v2)]
     for v in vs:
         if not is_primitive(v):
             raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
@@ -191,19 +160,13 @@ def pairing(w, v):
     return w[0] * v[0] + w[1] * v[1]
 
 
-def height_range(P, w) -> HeightRange:
-    vs = polygon_vertices(P)
-    hs = [pairing(w, v) for v in vs]
-    return HeightRange(min(hs), max(hs))
-
-
 def width_transform(w):
     """Unimodular change of basis U (and its inverse) with second row w,
     so that heights w(v) become plain y-coordinates."""
     a, b = w
     g, s, t = _egcd(a, b)
     if g != 1:
-        raise ValueError(f"width vector {w!r} must be primitive")
+        raise ValueError(f"width vector {format_ints(w)} must be primitive")
     U = ((t, -s), (a, b))
     Uinv = ((b, s), (-a, t))
     return U, Uinv
@@ -211,54 +174,6 @@ def width_transform(w):
 
 def apply_matrix(U, p):
     return (U[0][0] * p[0] + U[0][1] * p[1], U[1][0] * p[0] + U[1][1] * p[1])
-
-
-def slice_x_interval(norm_vertices, h):
-    """Exact x-interval cut out of a convex polygon by the line y = h,
-    or None when the line misses the polygon. Vertices may be rational."""
-    xs = []
-    k = len(norm_vertices)
-    for i in range(k):
-        p, q = norm_vertices[i], norm_vertices[(i + 1) % k]
-        if p[1] == h:
-            xs.append(Fraction(p[0]))
-        lo, hi = min(p[1], q[1]), max(p[1], q[1])
-        if lo < h < hi:
-            t = Fraction(h - p[1], q[1] - p[1])
-            xs.append(p[0] + t * (q[0] - p[0]))
-    if not xs:
-        return None
-    return min(xs), max(xs)
-
-
-def lattice_slice_interval(norm_vertices, h):
-    """Integer x-range [a, b] of lattice points at height h, or None."""
-    iv = slice_x_interval(norm_vertices, h)
-    if iv is None:
-        return None
-    a, b = ceil(iv[0]), floor(iv[1])
-    if a > b:
-        return None
-    return a, b
-
-
-def height_slice(P, w, h: int):
-    """Endpoints of the convex hull of lattice points of P at height h.
-
-    Returns a (point, point) pair (equal for a single point) or None when
-    the slice contains no lattice points.
-    """
-    vs = polygon_vertices(P)
-    hr = height_range(vs, w)
-    if not (hr.h_min <= h <= hr.h_max):
-        raise HeightOutOfRange(f"height {h} outside [{hr.h_min}, {hr.h_max}]")
-    U, Uinv = width_transform(w)
-    nvs = [apply_matrix(U, v) for v in vs]
-    iv = lattice_slice_interval(nvs, h)
-    if iv is None:
-        return None
-    a, b = iv
-    return apply_matrix(Uinv, (a, h)), apply_matrix(Uinv, (b, h))
 
 
 def degree(P) -> Fraction:
@@ -275,7 +190,7 @@ def degree(P) -> Fraction:
 def edge_lattice_length(a, b) -> int:
     """Number of lattice points on the segment [a, b] minus one."""
     if tuple(a) == tuple(b):
-        raise ValueError("endpoints must differ")
+        raise ValueError("the segment has zero length")
     return gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 

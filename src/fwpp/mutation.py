@@ -15,25 +15,28 @@ length l is feasible iff the edge at the lowest height h_min has lattice
 length at least l*|h_min|. The factor -f is a translate of the factor +f by a vector
 at height zero, so it gives a unimodularly equivalent polygon; factor
 discovery therefore returns the +f direction only. Results are mapped back
-through the inverse basis change.
+through the inverse basis change. The widths are the integer edge normals;
+only the dual map uses Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import index
 
 from .lattice import (
     LatticeError,
     Point,
     apply_matrix,
     convex_hull,
+    det,
     dual_polygon,
     format_ints,
     is_primitive,
     pairing,
     polygon_vertices,
-    primitivize,
     validate_fano_polygon,
     width_transform,
     _egcd,
@@ -64,21 +67,24 @@ class Factor:
             raise InvalidFactor(f"direction {format_ints(self.f)} must be primitive")
         if pairing(self.w, self.f) != 0:
             raise InvalidFactor("factor direction must lie at height zero")
-        if self.length < 1:
+        if index(self.length) < 1:
             raise InvalidFactor("factor length must be >= 1")
-
-    @property
-    def endpoints(self) -> tuple[Point, Point]:
-        return (0, 0), (self.length * self.f[0], self.length * self.f[1])
 
     def inverse(self) -> "Factor":
         return Factor(w=(-self.w[0], -self.w[1]), f=self.f, length=self.length)
 
 
 def admissible_widths(P):
-    """Primitive generators of the rays through the dual polygon's vertices;
-    these are exactly the widths admitting a nontrivial factor in 2D."""
-    return sorted(set(primitivize(u) for u in dual_polygon(P)))
+    """The primitive inner edge normals of P, sorted: exactly the widths
+    admitting a nontrivial factor in 2D. Signing (p1 - q1, q0 - p0) by
+    det(p, q) makes clockwise input give the same set."""
+    vs = polygon_vertices(P)
+    widths = set()
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        a, b = p[1] - q[1], q[0] - p[0]
+        g = gcd(a, b) if det(p, q) > 0 else -gcd(a, b)
+        widths.add((a // g, b // g))
+    return sorted(widths)
 
 
 def _normalized(P, w):
@@ -105,9 +111,8 @@ def mutate_with(P, factor: Factor):
     when its length is infeasible."""
     U, Uinv, nvs, l_max = _normalized(P, factor.w)
     if factor.length > l_max:
-        raise InvalidMutationData(
-            f"factor length {factor.length} exceeds the maximum {l_max}"
-        )
+        raise InvalidMutationData(f"factor length {format_ints(factor.length)}"
+                                  f" exceeds the maximum {format_ints(l_max)}")
     d = apply_matrix(U, factor.f)[0]
     slope = d * factor.length
     nvs = convex_hull(nvs)  # counterclockwise, whatever order P came in
@@ -132,10 +137,10 @@ def mutate_with(P, factor: Factor):
 def apply_dual_map(P, factor: Factor):
     """Image of the dual polygon under the piecewise linear map induced by
     the factor; equals the dual of the mutated polygon."""
-    try:
-        mutate_with(P, factor)
-    except InvalidMutationData as exc:
-        raise InvalidFactor(str(exc)) from exc
+    l_max = _normalized(P, factor.w)[3]
+    if factor.length > l_max:
+        raise InvalidFactor(f"factor length {format_ints(factor.length)}"
+                            f" exceeds the maximum {format_ints(l_max)}")
     dual = dual_polygon(P)
     f, w, length = factor.f, factor.w, factor.length
     pts = list(dual)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 
 from .diophantine import DiophantineEquation
+from .fwps import is_well_formed
+from .lattice import format_ints
 
 EQUATION = DiophantineEquation(m=12, k=1, c=(3, 5, 7), r=105)
 
@@ -40,7 +43,7 @@ class Component:
 
 
 def is_solution(s) -> bool:
-    a0, a1, a2 = (int(x) for x in s)
+    a0, a1, a2 = (index(x) for x in s)
     return 12 * a0 * a1 * a2 == 3 * a0**2 + 5 * a1**2 + 7 * a2**2
 
 
@@ -116,12 +119,17 @@ def family_a2_fixed(count: int):
     return rows
 
 
+def _checked_solution(s) -> tuple[int, int, int]:
+    s = tuple(index(x) for x in s)
+    if not is_solution(s):
+        raise NotASolution(f"{format_ints(s)} does not solve the equation")
+    return s
+
+
 def component_of(s) -> Component:
     """The mutation component of a solution: the one or two solutions
     sharing its (a1, a2), since a1 and a2 are fixed under mutation."""
-    s = tuple(int(x) for x in s)
-    if not is_solution(s):
-        raise NotASolution(f"{s!r} does not solve the equation")
+    s = _checked_solution(s)
     slice_ = solve_quadratic_357(s[1], s[2])
     assert slice_.roots is not None and s[0] in slice_.roots
     sols = sorted({(root, s[1], s[2]) for root in slice_.roots})
@@ -131,15 +139,11 @@ def component_of(s) -> Component:
 def coprime_implies_well_formed_check(s) -> bool:
     """True iff the weights (3 a0^2, 5 a1^2, 7 a2^2) are pairwise coprime;
     for solutions this coincides with gcd(a0, a1, a2) = 1."""
-    a0, a1, a2 = (int(x) for x in s)
-    if not is_solution((a0, a1, a2)):
-        raise NotASolution(f"{(a0, a1, a2)!r} does not solve the equation")
-    w = (3 * a0**2, 5 * a1**2, 7 * a2**2)
-    return gcd(w[0], w[1]) == gcd(w[0], w[2]) == gcd(w[1], w[2]) == 1
+    return is_well_formed(solution_weights(_checked_solution(s)))
 
 
 def solution_weights(s) -> tuple[int, int, int]:
-    a0, a1, a2 = (int(x) for x in s)
+    a0, a1, a2 = (index(x) for x in s)
     return (3 * a0**2, 5 * a1**2, 7 * a2**2)
 
 

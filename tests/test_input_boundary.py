@@ -1,0 +1,102 @@
+"""The library's integer boundary: a float or a non-integral Fraction where
+an integer is expected raises TypeError instead of being truncated, and an
+error that quotes integers past Python's 4300-digit int/str limit raises
+its own exception with the integers in the message, not the limit's
+ValueError."""
+
+from fractions import Fraction
+
+import pytest
+
+from fwpp import pell357
+from fwpp.diophantine import (
+    DiophantineEquation,
+    NonIntegral,
+    derive_equation,
+    height,
+    mutate_solution,
+    verify_solution,
+)
+from fwpp.fwps import (
+    DegenerateCone,
+    canon_weights,
+    cone_singularity,
+    is_well_formed,
+    mutate_weights,
+    wps_triangle,
+)
+from fwpp.lattice import (
+    OriginNotInterior,
+    int_to_decimal,
+    make_fano_triangle,
+    validate_fano_polygon,
+    width_transform,
+)
+from fwpp.mutation import (
+    Factor,
+    InvalidFactor,
+    InvalidMutationData,
+    apply_dual_map,
+    mutate_with,
+)
+
+MARKOV = DiophantineEquation(m=3, k=1, c=(1, 1, 1), r=1)
+P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_fano_triangle((1.7, -1), (-1, 2), (0, -1)),
+    lambda: make_fano_triangle((1, -1), (-1, 2), (0, Fraction(-3, 2))),
+    lambda: Factor(w=(0, 1), f=(1, 0), length=1.0),
+    lambda: canon_weights((1.5, 2, 3)),
+    lambda: is_well_formed((1.0, 2, 3)),
+    lambda: wps_triangle(1.9, 1, 1),
+    lambda: mutate_weights((1.0, 1, 1), 0),
+    lambda: derive_equation((1.2, 1, 1)),
+    lambda: verify_solution(MARKOV, (1.0, 1, 1)),
+    lambda: mutate_solution(MARKOV, (1.0, 1, 1), 0),
+    lambda: height((1.5, 1, 1)),
+    lambda: pell357.is_solution((1.0, 1, 1)),
+    lambda: pell357.component_of((2.0, 1, 1)),
+    lambda: pell357.coprime_implies_well_formed_check((2.0, 1, 1)),
+    lambda: pell357.solution_weights((2.0, 1, 1)),
+], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor", "canon_weights",
+        "is_well_formed", "wps_triangle", "mutate_weights", "derive_equation",
+        "verify_solution", "mutate_solution", "height", "is_solution",
+        "component_of", "coprime_implies_well_formed_check", "solution_weights"])
+def test_non_integers_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+N = 10**4400
+
+
+@pytest.mark.parametrize("call, error, quoted", [
+    (lambda: canon_weights((N, 0, 1)), ValueError, N),
+    (lambda: wps_triangle(2 * N, 2, 1), ValueError, 2 * N),
+    (lambda: derive_equation((0, 1, N)), ValueError, N),
+    (lambda: width_transform((2 * N, 2)), ValueError, 2 * N),
+    (lambda: validate_fano_polygon(((N, 1), (1, 0))), OriginNotInterior, N),
+    (lambda: cone_singularity((1, N), (-1, -N)), DegenerateCone, N),
+    (lambda: pell357.component_of((N, 1, 1)), pell357.NotASolution, N),
+    (lambda: pell357.coprime_implies_well_formed_check((N, 1, 1)),
+     pell357.NotASolution, N),
+    (lambda: mutate_solution(MARKOV, (N, 1, 1), 0), NonIntegral, N - 3),
+    (lambda: mutate_solution(DiophantineEquation(m=1, k=1, c=(2, 1, 1), r=1),
+                             (N, 1, 1), 0), NonIntegral, 2 * N - 1),
+    (lambda: mutate_with(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
+     InvalidMutationData, N),
+    (lambda: apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
+     InvalidFactor, N),
+], ids=["canon_weights", "wps_triangle", "derive_equation", "width_transform",
+        "validate_fano_polygon", "cone_singularity", "component_of",
+        "coprime_implies_well_formed_check", "mutate_solution",
+        "mutate_solution-fraction", "mutate_with", "apply_dual_map"])
+def test_errors_quote_integers_past_the_digit_limit(call, error, quoted):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    message = str(info.value)
+    assert "Exceeds the limit" not in message
+    assert int_to_decimal(quoted) in message

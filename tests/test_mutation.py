@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -9,7 +11,6 @@ from fwpp.lattice import (
     convex_hull,
     degree,
     dual_polygon,
-    lattice_slice_interval,
     make_fano_triangle,
     polygon_vertices,
     validate_fano_polygon,
@@ -27,6 +28,7 @@ from fwpp.mutation import (
     mutate_with,
     unimodular_equivalent,
 )
+from slice_oracle import lattice_slice_interval
 
 P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
 Q114 = make_fano_triangle((1, 2), (-1, 2), (0, -1))
@@ -45,6 +47,28 @@ class TestAdmissibleWidths:
         T = make_fano_triangle((1, 0), (0, 1), (-1, -1))
         # primitivizations of the dual vertices (-1,-1), (2,-1), (-1,2)
         assert set(admissible_widths(T)) == {(-1, -1), (2, -1), (-1, 2)}
+
+    def test_widths_match_dual_oracle(self, corpus):
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
+        for vs in polygons:
+            want = _dual_widths(vs)
+            assert admissible_widths(vs) == want
+            assert admissible_widths(vs[::-1]) == want
+
+
+def _dual_widths(P):
+    """Widths the long way: the primitive point on the ray through each
+    vertex of the rational dual polygon."""
+    widths = set()
+    for x, y in dual_polygon(P):
+        x, y = Fraction(x), Fraction(y)
+        m = lcm(x.denominator, y.denominator)
+        a, b = int(x * m), int(y * m)
+        g = gcd(a, b)
+        widths.add((a // g, b // g))
+    return sorted(widths)
 
 
 class TestFindFactors:
