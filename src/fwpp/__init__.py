@@ -16,6 +16,7 @@ from .lattice import (
     triangle_to_json,
 )
 from .mutation import (
+    DegeneratePolygon,
     Factor,
     InvalidFactor,
     InvalidMutationData,

@@ -16,13 +16,13 @@ from .lattice import (
     FanoTriangle,
     LatticeError,
     Point,
+    bezout,
     det,
     format_ints,
     int_to_decimal,
     is_primitive,
     make_fano_triangle,
     polygon_vertices,
-    _egcd,
 )
 
 
@@ -126,7 +126,7 @@ def cone_singularity(u, v) -> QuotientSingularity:
     if r == 0:
         raise DegenerateCone(f"generators {format_ints(u)}, {format_ints(v)} are parallel")
     # Send u to (1,0); then v = (p, r) and the type is 1/r(-p, 1).
-    _, s, t = _egcd(u[0], u[1])
+    _, s, t = bezout(*u)
     p = s * v[0] + t * v[1]
     return quotient_singularity(r, (-p) % r if r > 1 else 1, 1)
 

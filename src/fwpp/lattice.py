@@ -48,19 +48,15 @@ def is_primitive(p) -> bool:
     return (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def bezout(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*x + t*y = g = gcd(x, y), for (x, y) != (0, 0).
+    The inverse comes from pow, in C, whatever the size of x and y."""
+    g = gcd(x, y)
+    a, b = x // g, y // g
+    if b == 0:
+        return g, a, 0
+    s = pow(a, -1, abs(b))
+    return g, s, (1 - s * a) // b
 
 
 def _cross(o, a, b):
@@ -133,10 +129,11 @@ def make_fano_triangle(v0, v1, v2) -> FanoTriangle:
 
 
 def polygon_vertices(P):
-    """Vertex tuple of a FanoTriangle or a bare vertex sequence."""
+    """Vertex tuple of a FanoTriangle or a bare vertex sequence, whose
+    coordinates are read with operator.index."""
     if isinstance(P, FanoTriangle):
         return P.vertices
-    return tuple(tuple(v) for v in P)
+    return tuple((index(x), index(y)) for x, y in P)
 
 
 def dual_polygon(P):
@@ -145,7 +142,7 @@ def dual_polygon(P):
     One rational vertex per edge of P; accepts integer or rational input,
     so applying it twice recovers the original vertex set.
     """
-    vs = polygon_vertices(P)
+    vs = P.vertices if isinstance(P, FanoTriangle) else tuple(P)
     k = len(vs)
     duals = []
     for i in range(k):
@@ -160,26 +157,10 @@ def pairing(w, v):
     return w[0] * v[0] + w[1] * v[1]
 
 
-def width_transform(w):
-    """Unimodular change of basis U (and its inverse) with second row w,
-    so that heights w(v) become plain y-coordinates."""
-    a, b = w
-    g, s, t = _egcd(a, b)
-    if g != 1:
-        raise ValueError(f"width vector {format_ints(w)} must be primitive")
-    U = ((t, -s), (a, b))
-    Uinv = ((b, s), (-a, t))
-    return U, Uinv
-
-
-def apply_matrix(U, p):
-    return (U[0][0] * p[0] + U[0][1] * p[1], U[1][0] * p[0] + U[1][1] * p[1])
-
-
 def degree(P) -> Fraction:
     """Anticanonical degree of the spanning-fan toric surface: twice the
     Euclidean area of the dual polygon, as an exact rational."""
-    dual = dual_polygon(P)
+    dual = dual_polygon(polygon_vertices(P))
     k = len(dual)
     total = Fraction(0)
     for i in range(k):

@@ -1,22 +1,20 @@
 """Combinatorial mutations of two-dimensional Fano polygons.
 
-The engine works in the frame where the width vector w becomes (0, 1) and
-the factor direction f becomes (d, 0) with d = +-1, so heights are plain
-y-coordinates. In two dimensions the result does not depend on the choice
-of the segments {G_h} (Akhtar-Coates-Galkin-Kasprzyk, "Minkowski
-polynomials and mutations", arXiv:1212.1785), and the mutation by
-conv{0, l*f} is the piecewise-linear map that fixes the boundary chain
-behind f and shears the chain in front of f by (x, y) -> (x + d*l*y, y):
+No basis change is built: a width w and a factor conv{0, l*f} with
+w(f) = 0 act on the polygon itself. In two dimensions the result does not
+depend on the choice of the segments {G_h} (Akhtar-Coates-Galkin-Kasprzyk,
+"Minkowski polynomials and mutations", arXiv:1212.1785), and the mutation
+is the piecewise-linear shear that fixes the boundary chain behind f and
+moves the chain in front of f by v -> v + l*w(v)*f:
 
     mut(P) = conv(chain behind f  +  shear(chain in front of f)).
 
-This costs O(k) in the number of vertices, whatever the height range. The
-length l is feasible iff the edge at the lowest height h_min has lattice
-length at least l*|h_min|. The factor -f is a translate of the factor +f by a vector
-at height zero, so it gives a unimodularly equivalent polygon; factor
-discovery therefore returns the +f direction only. Results are mapped back
-through the inverse basis change. The widths are the integer edge normals;
-only the dual map uses Fractions.
+This costs O(k) in the number of vertices, whatever the height range. An
+edge p -> q of lattice length L and cone index r = det(p, q) at the lowest
+height h_min = -r/L admits the lengths l <= L // (r/L). The factor -f is a
+translate of +f by a vector at height zero, so it gives a unimodularly
+equivalent polygon; factor discovery returns f = (w1, -w0) only. The
+widths are the integer edge normals; only the dual map uses Fractions.
 """
 
 from __future__ import annotations
@@ -29,17 +27,16 @@ from operator import index
 from .lattice import (
     LatticeError,
     Point,
-    apply_matrix,
+    bezout,
     convex_hull,
     det,
     dual_polygon,
+    edge_lattice_length,
     format_ints,
     is_primitive,
     pairing,
     polygon_vertices,
     validate_fano_polygon,
-    width_transform,
-    _egcd,
 )
 
 
@@ -49,6 +46,10 @@ class InvalidMutationData(LatticeError):
 
 class InvalidFactor(LatticeError):
     pass
+
+
+class DegeneratePolygon(LatticeError):
+    """Vertices that do not span the plane, so no canonical form exists."""
 
 
 @dataclass(frozen=True)
@@ -87,49 +88,58 @@ def admissible_widths(P):
     return sorted(widths)
 
 
-def _normalized(P, w):
-    """Basis change U (w -> (0, 1)), its inverse, the vertices of P in the
-    new frame, and the largest feasible factor length (0 when none)."""
-    U, Uinv = width_transform(w)
-    nvs = [apply_matrix(U, v) for v in polygon_vertices(P)]
-    h_min = min(y for _, y in nvs)
-    bottom = [x for x, y in nvs if y == h_min]
-    l_max = (max(bottom) - min(bottom)) // -h_min if h_min < 0 else 0
-    return U, Uinv, nvs, l_max
+def _max_length(vs, w) -> int:
+    """The largest feasible factor length for the width w: the lattice
+    length of the edge at the lowest height h_min < 0, floor-divided by
+    -h_min; 0 when a single vertex sits there or h_min >= 0."""
+    hs = [pairing(w, v) for v in vs]
+    h_min = min(hs)
+    bottom = [v for v, h in zip(vs, hs) if h == h_min]
+    # collinear points sort along their line, so these are the edge's ends
+    p, q = min(bottom), max(bottom)
+    if h_min >= 0 or p == q:
+        return 0
+    return edge_lattice_length(p, q) // -h_min
 
 
 def find_factors(P, w) -> list[Factor]:
     """All factors of P with respect to w, one per feasible length, in the
-    direction f that the frame of w maps to (1, 0). Empty when none."""
-    _, Uinv, _, l_max = _normalized(P, w)
-    f = apply_matrix(Uinv, (1, 0))
+    direction f = (w1, -w0). Empty when none."""
+    if not is_primitive(w):
+        raise ValueError(f"width vector {format_ints(w)} must be primitive")
+    f = (w[1], -w[0])
+    l_max = _max_length(polygon_vertices(P), w)
     return [Factor(w=w, f=f, length=length) for length in range(1, l_max + 1)]
 
 
 def mutate_with(P, factor: Factor):
     """Combinatorial mutation of P by the factor; raises InvalidMutationData
     when its length is infeasible."""
-    U, Uinv, nvs, l_max = _normalized(P, factor.w)
-    if factor.length > l_max:
-        raise InvalidMutationData(f"factor length {format_ints(factor.length)}"
+    w, f, length = factor.w, factor.f, factor.length
+    vs = polygon_vertices(P)
+    l_max = _max_length(vs, w)
+    if length > l_max:
+        raise InvalidMutationData(f"factor length {format_ints(length)}"
                                   f" exceeds the maximum {format_ints(l_max)}")
-    d = apply_matrix(U, factor.f)[0]
-    slope = d * factor.length
-    nvs = convex_hull(nvs)  # counterclockwise, whatever order P came in
-    k = len(nvs)
+    vs = convex_hull(vs)  # counterclockwise, whatever order P came in
+    hs = [pairing(w, v) for v in vs]
+    climbing_in_front = det(f, w) > 0
+    dx, dy = length * f[0], length * f[1]
+    k = len(vs)
     points = []
-    # Walking counterclockwise, the right chain climbs and the left chain
-    # descends; the lowest and highest vertices lie on both.
-    for i, (x, y) in enumerate(nvs):
-        prev_y, next_y = nvs[i - 1][1], nvs[(i + 1) % k][1]
-        right = next_y > y or prev_y < y
-        left = next_y < y or prev_y > y
-        front, behind = (right, left) if d == 1 else (left, right)
+    # Walking counterclockwise, the chain in front of f climbs in w when
+    # det(f, w) > 0; the lowest and highest vertices lie on both chains.
+    for i, ((x, y), h) in enumerate(zip(vs, hs)):
+        prev_h, next_h = hs[i - 1], hs[(i + 1) % k]
+        climbing = next_h > h or prev_h < h
+        descending = next_h < h or prev_h > h
+        front, behind = ((climbing, descending) if climbing_in_front
+                         else (descending, climbing))
         if behind:
             points.append((x, y))
         if front:
-            points.append((x + slope * y, y))
-    out = convex_hull(apply_matrix(Uinv, p) for p in points)
+            points.append((x + h * dx, y + h * dy))
+    out = convex_hull(points)
     validate_fano_polygon(out)
     return out
 
@@ -137,7 +147,7 @@ def mutate_with(P, factor: Factor):
 def apply_dual_map(P, factor: Factor):
     """Image of the dual polygon under the piecewise linear map induced by
     the factor; equals the dual of the mutated polygon."""
-    l_max = _normalized(P, factor.w)[3]
+    l_max = _max_length(polygon_vertices(P), factor.w)
     if factor.length > l_max:
         raise InvalidFactor(f"factor length {format_ints(factor.length)}"
                             f" exceeds the maximum {format_ints(l_max)}")
@@ -163,36 +173,40 @@ def apply_dual_map(P, factor: Factor):
 
 # --- unimodular equivalence -------------------------------------------------
 
-def _left_hnf(cols):
-    """Canonical representative of {U @ M : U in GL(2, Z)} for a rank-2
-    integer matrix given by its columns."""
-    cols = [tuple(c) for c in cols]
-    j0 = next(j for j, c in enumerate(cols) if c != (0, 0))
-    a, b = cols[j0]
-    g, s, t = _egcd(a, b)
-    u, v = -b // g, a // g  # second row of the Bezout matrix
-    cols = [(s * x + t * y, u * x + v * y) for x, y in cols]
-    j1 = next((j for j, c in enumerate(cols) if c[1] != 0), None)
-    if j1 is not None:
-        if cols[j1][1] < 0:
-            cols = [(x, -y) for x, y in cols]
-        q = cols[j1][0] // cols[j1][1]
-        if q:
-            cols = [(x - q * y, y) for x, y in cols]
-    return tuple(cols)
-
-
 def canonical_form(vertices):
-    """Canonical form of a polygon up to unimodular equivalence: the minimum
-    left-HNF over all cyclic rotations and both orientations."""
-    vs = list(polygon_vertices(vertices))
-    k = len(vs)
+    """Canonical form of a polygon up to unimodular equivalence: the least
+    left Hermite normal form of the vertex columns over all cyclic
+    rotations and both orientations. From v0 = g*(a, b), with s*a + t*b = 1,
+    column (x, y) goes to (c, d) = (s*x + t*y, a*y - b*x); d is negated if
+    its first nonzero value is negative, and c reduced by q = c // d there.
+    Any Bezout pair gives the same form, so one per vertex serves both
+    orientations."""
+    vs = polygon_vertices(vertices)
     best = None
-    for seq in (vs, vs[::-1]):
-        for r in range(k):
-            cand = _left_hnf(seq[r:] + seq[:r])
+    for i, (x0, y0) in enumerate(vs):
+        if (x0, y0) == (0, 0):
+            continue
+        g, s, t = bezout(x0, y0)
+        a, b = x0 // g, y0 // g
+        cols = [(s * x + t * y, a * y - b * x) for x, y in vs]
+        if not any(d for _, d in cols):
+            break  # every vertex is a multiple of (a, b)
+        for seq in (cols[i:] + cols[:i], cols[i::-1] + cols[:i:-1]):
+            # rotations from the zero vertices just before v0 share its
+            # columns, and the one with the most leading zeros is least
+            while seq[-1] == (0, 0):
+                seq.insert(0, seq.pop())
+            c1, d1 = next(col for col in seq if col[1])
+            if d1 < 0:
+                seq = [(c, -d) for c, d in seq]
+                d1 = -d1
+            q = c1 // d1
+            cand = tuple((c - q * d, d) for c, d in seq)
             if best is None or cand < best:
                 best = cand
+    if best is None:
+        raise DegeneratePolygon(
+            f"vertices {format_ints(vs)} do not span the plane")
     return best
 
 

@@ -23,20 +23,23 @@ from fwpp.fwps import (
     cone_singularity,
     is_well_formed,
     mutate_weights,
+    vertex_weights,
     wps_triangle,
 )
 from fwpp.lattice import (
     OriginNotInterior,
+    degree,
     int_to_decimal,
     make_fano_triangle,
     validate_fano_polygon,
-    width_transform,
 )
 from fwpp.mutation import (
     Factor,
     InvalidFactor,
     InvalidMutationData,
     apply_dual_map,
+    canonical_form,
+    find_factors,
     mutate_with,
 )
 
@@ -60,10 +63,15 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: pell357.component_of((2.0, 1, 1)),
     lambda: pell357.coprime_implies_well_formed_check((2.0, 1, 1)),
     lambda: pell357.solution_weights((2.0, 1, 1)),
+    lambda: degree([(0.5, 0), (0, 1), (-1, -1)]),
+    lambda: canonical_form([(1.0, 0), (0, 1), (-1, -1)]),
+    lambda: mutate_with([(1.0, -1), (-1, 2), (0, -1)], Factor((0, 1), (1, 0), 1)),
+    lambda: vertex_weights([(1.0, 0), (0, 1), (-1, -1)]),
 ], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor", "canon_weights",
         "is_well_formed", "wps_triangle", "mutate_weights", "derive_equation",
         "verify_solution", "mutate_solution", "height", "is_solution",
-        "component_of", "coprime_implies_well_formed_check", "solution_weights"])
+        "component_of", "coprime_implies_well_formed_check", "solution_weights",
+        "degree", "canonical_form", "mutate_with", "vertex_weights"])
 def test_non_integers_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -76,7 +84,7 @@ N = 10**4400
     (lambda: canon_weights((N, 0, 1)), ValueError, N),
     (lambda: wps_triangle(2 * N, 2, 1), ValueError, 2 * N),
     (lambda: derive_equation((0, 1, N)), ValueError, N),
-    (lambda: width_transform((2 * N, 2)), ValueError, 2 * N),
+    (lambda: find_factors(P2, (2 * N, 2)), ValueError, 2 * N),
     (lambda: validate_fano_polygon(((N, 1), (1, 0))), OriginNotInterior, N),
     (lambda: cone_singularity((1, N), (-1, -N)), DegenerateCone, N),
     (lambda: pell357.component_of((N, 1, 1)), pell357.NotASolution, N),
@@ -89,7 +97,7 @@ N = 10**4400
      InvalidMutationData, N),
     (lambda: apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
      InvalidFactor, N),
-], ids=["canon_weights", "wps_triangle", "derive_equation", "width_transform",
+], ids=["canon_weights", "wps_triangle", "derive_equation", "find_factors",
         "validate_fano_polygon", "cone_singularity", "component_of",
         "coprime_implies_well_formed_check", "mutate_solution",
         "mutate_solution-fraction", "mutate_with", "apply_dual_map"])

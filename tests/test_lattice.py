@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from fwpp.fwps import wps_triangle
 from fwpp.lattice import (
     NonPrimitiveVertex,
     OriginNotInterior,
+    bezout,
     decimal_to_int,
     degree,
     dual_polygon,
@@ -58,6 +60,20 @@ class TestPrimitivity:
 
     def test_zero(self):
         assert not is_primitive((0, 0))
+
+
+class TestBezout:
+    @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+    def test_bezout_identity(self, x, y):
+        if (x, y) == (0, 0):
+            return
+        g, s, t = bezout(x, y)
+        assert g == gcd(x, y)
+        assert s * x + t * y == g
+
+    def test_axes(self):
+        assert bezout(0, -3) == (3, 0, -1)
+        assert bezout(-5, 0) == (5, -1, 0)
 
 
 class TestConstruction:

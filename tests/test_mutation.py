@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,16 +8,16 @@ import pytest
 from fwpp.diophantine import build_mutation_tree
 from fwpp.fwps import weights_of, wps_triangle
 from fwpp.lattice import (
-    apply_matrix,
+    LatticeError,
     convex_hull,
     degree,
     dual_polygon,
     make_fano_triangle,
     polygon_vertices,
     validate_fano_polygon,
-    width_transform,
 )
 from fwpp.mutation import (
+    DegeneratePolygon,
     Factor,
     InvalidFactor,
     InvalidMutationData,
@@ -28,7 +29,7 @@ from fwpp.mutation import (
     mutate_with,
     unimodular_equivalent,
 )
-from slice_oracle import lattice_slice_interval
+from slice_oracle import apply_matrix, egcd, lattice_slice_interval, width_transform
 
 P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
 Q114 = make_fano_triangle((1, 2), (-1, 2), (0, -1))
@@ -126,6 +127,27 @@ class TestMutate:
     def test_infeasible_length(self):
         with pytest.raises(InvalidMutationData):
             mutate_with(P2, Factor(w=(0, 1), f=(1, 0), length=2))
+
+    def test_boundary_points_in_any_order(self, small_corpus):
+        # every boundary lattice point listed, shuffled: same factors and
+        # results as the vertices alone
+        rng = random.Random(11)
+        total = 0
+        for P in small_corpus:
+            vs = P.vertices
+            points = []
+            for p, q in zip(vs, vs[1:] + vs[:1]):
+                n = gcd(q[0] - p[0], q[1] - p[1])
+                step = ((q[0] - p[0]) // n, (q[1] - p[1]) // n)
+                points += [(p[0] + i * step[0], p[1] + i * step[1]) for i in range(n)]
+            rng.shuffle(points)
+            for w in admissible_widths(P):
+                factors = find_factors(P, w)
+                assert find_factors(points, w) == factors
+                for factor in factors:
+                    total += 1
+                    assert mutate_with(points, factor) == mutate_with(P, factor)
+        assert total > 0
 
     def test_g_choice_irrelevant_up_to_equivalence(self, small_corpus):
         # every valid choice of {G_h}, for both factor directions, gives
@@ -318,6 +340,66 @@ class TestCanonicalForm:
     def test_distinguishes_different_planes(self):
         assert not unimodular_equivalent(P2.vertices, Q114.vertices)
         assert not unimodular_equivalent(P2.vertices, T35.vertices)
+
+    def test_matches_hnf_oracle(self, corpus):
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
+        _assert_canonical_forms_match(polygons)
+
+    def test_matches_hnf_oracle_on_special_vertices(self):
+        _assert_canonical_forms_match([
+            ((2, 0), (0, 1), (-1, -1)),          # non-primitive vertex
+            ((6, -4), (-3, 5), (0, 1), (-9, -3)),
+            ((0, 0), (2, 1), (1, 3)),            # the origin as a vertex
+            ((0, 0), (0, 0), (3, 1), (0, 0), (1, 2)),
+        ])
+
+    def test_matches_hnf_oracle_at_max_growth_step_14(self, max_growth_branch):
+        P = wps_triangle(*max_growth_branch[14])
+        outputs = [Q for _, Q in enumerate_one_step(P)]
+        assert outputs
+        _assert_canonical_forms_match([P.vertices] + outputs)
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (0, 0), (0, 0)],
+        [(1, 0), (2, 0), (-1, 0)],
+        [(0, 0), (2, 4), (-1, -2)],
+        [],
+    ])
+    def test_degenerate_rejected(self, vertices):
+        assert issubclass(DegeneratePolygon, LatticeError)
+        with pytest.raises(DegeneratePolygon, match="do not span the plane"):
+            canonical_form(vertices)
+
+
+def _assert_canonical_forms_match(polygons):
+    for vs in polygons:
+        assert canonical_form(vs) == _canonical_oracle(vs)
+        assert canonical_form(vs[::-1]) == _canonical_oracle(vs[::-1])
+
+
+def _left_hnf(cols):
+    """Canonical representative of {U @ M : U in GL(2, Z)} for a rank-2
+    integer matrix given by its columns, from an extended-gcd row
+    operation on the first nonzero column."""
+    j0 = next(j for j, c in enumerate(cols) if c != (0, 0))
+    a, b = cols[j0]
+    g, s, t = egcd(a, b)
+    u, v = -b // g, a // g  # second row of the Bezout matrix
+    cols = [(s * x + t * y, u * x + v * y) for x, y in cols]
+    j1 = next(j for j, c in enumerate(cols) if c[1] != 0)
+    if cols[j1][1] < 0:
+        cols = [(x, -y) for x, y in cols]
+    q = cols[j1][0] // cols[j1][1]
+    return tuple((x - q * y, y) for x, y in cols)
+
+
+def _canonical_oracle(vertices):
+    """The least left HNF over every rotation of both vertex orders."""
+    vs = [tuple(v) for v in vertices]
+    return min(_left_hnf(seq[r:] + seq[:r])
+               for seq in (vs, vs[::-1]) for r in range(len(vs)))
 
 
 class TestInvariants:
