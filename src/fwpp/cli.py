@@ -169,7 +169,11 @@ def cmd_tree(args) -> int:
     tree = diophantine.build_mutation_tree(
         tuple(args.weights), max_depth=args.depth, max_height=args.max_height
     )
-    _emit(args, lambda: diophantine._tree_json_chunks(tree, quoted=True), lambda: [
+
+    def json_chunks():
+        return map("".join, diophantine._tree_json_chunks(tree, quoted=True))
+
+    _emit(args, json_chunks, lambda: [
         f"{'  ' * n.depth}{_text(n.weights)} h={_text(n.height)}"
         + (" [truncated]" if n.truncated else "")
         for n in tree.nodes

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
 
-from .fwps import _step, _well_formed_weights, is_well_formed
+from .fwps import _OTHERS, _step, _well_formed_weights, is_well_formed
 from .lattice import format_ints, int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
@@ -170,6 +170,8 @@ def mutate_solution(eq: DiophantineEquation, s, pivot: int):
     """(a0,a1,a2) -> ((m/k) ai aj / cp - ap, ...) at the pivot index;
     raises NonIntegral when the image is not a positive integer."""
     s = tuple(index(x) for x in s)
+    if pivot not in (0, 1, 2):
+        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot!r}")
     ai, aj = (s[i] for i in range(3) if i != pivot)
     new = Fraction(eq.m, eq.k) * ai * aj / eq.c[pivot] - s[pivot]
     if new.denominator != 1 or new <= 0:
@@ -204,7 +206,7 @@ def descend_to_minimal(weights):
     return path
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     weights: tuple[int, int, int]
     height: int
@@ -230,14 +232,52 @@ class MutationTree:
         return {n.weights for n in self.nodes}
 
 
+def _vieta_step(w, pivot, num, den):
+    """fwps._step in Vieta form, for a triple of degree num/den (in lowest
+    terms): lambda_p and lambda_p' are the two roots of the Markov-type
+    equation in lambda_p, so lambda_p' = K li lj - 2(li + lj) - lambda_p.
+    The target exists iff den divides li lj, which is iff lambda_p divides
+    (li + lj)^2, since their product is (li + lj)^2.
+
+    One product and no big division; but reading K off a single triple
+    costs a big gcd, so the one-step callers keep fwps._step.
+    """
+    i, j = _OTHERS[pivot]
+    li, lj = w[i], w[j]
+    prod = li * lj
+    if den != 1:
+        prod, r = divmod(prod, den)
+        if r:
+            return None
+    q = num * prod - 2 * (li + lj) - w[pivot]
+    if q <= li:
+        return (q, li, lj)
+    return (li, q, lj) if q <= lj else (li, lj, q)
+
+
 def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTree:
     """Descend to the minimal root, then expand all height-increasing weight
-    mutations breadth-first until a bound is hit (truncated nodes flagged)."""
+    mutations breadth-first until a bound is hit (truncated nodes flagged).
+
+    The degree K = h^2 / (l0 l1 l2) is the same on the whole component, so
+    it is read once off the root and each child is a Vieta step
+    (_vieta_step). No set of visited triples is kept: by the descent
+    lemma, a non-root node has exactly one height-decreasing neighbour,
+    its parent, so the height-increasing search reaches no node twice.
+    Pivots of one node that give the same triple, as at (1, 1, b), are
+    merged into one child.
+    """
+    if max_depth is not None:
+        max_depth = index(max_depth)
+    if max_height is not None:
+        max_height = index(max_height)
     if max_depth is None and max_height is None:
         raise ValueError("need max_depth and/or max_height")
     root_w = descend_to_minimal(weights)[-1]
-    nodes = [TreeNode(weights=root_w, height=sum(root_w), depth=0)]
-    seen = {root_w}
+    root_h = sum(root_w)
+    deg = Fraction(root_h * root_h, root_w[0] * root_w[1] * root_w[2])
+    num, den = deg.numerator, deg.denominator
+    nodes = [TreeNode(weights=root_w, height=root_h, depth=0)]
     queue = deque([0])
     while queue:
         idx = queue.popleft()
@@ -250,16 +290,14 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
         w, h = node.weights, node.height
         targets = {}
         for pivot in range(3):
-            if 2 * w[pivot] < h and (target := _step(w, pivot)) is not None:
+            if 2 * w[pivot] < h and (
+                    target := _vieta_step(w, pivot, num, den)) is not None:
                 targets.setdefault(target, pivot)
         for target in sorted(targets):
-            if target in seen:
-                continue
             target_h = sum(target)
             if max_height is not None and target_h > max_height:
                 node.truncated = True
                 continue
-            seen.add(target)
             child = TreeNode(
                 weights=target,
                 height=target_h,
@@ -275,11 +313,13 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
 
 def _tree_json_chunks(tree: MutationTree, quoted: bool = False):
     """The nodes document of the tree, as json.dumps(..., sort_keys=True,
-    indent=2) writes it, in one chunk per node plus a closing chunk.
+    indent=2) writes it, as one tuple of string pieces per node plus a
+    closing tuple; joining every piece gives the document.
 
-    Weights and heights are decimal strings; each distinct weight is
-    converted once, although a child repeats two of its parent's. depth,
-    parent and pivot are JSON ints, or decimal strings when quoted.
+    The pieces are shared fixed fragments and decimal strings, so the
+    document is built in one copy. Each distinct weight is converted once,
+    although a child repeats two of its parent's. depth, parent and pivot
+    are JSON ints, or decimal strings when quoted.
     """
     decimals = {}
 
@@ -294,29 +334,26 @@ def _tree_json_chunks(tree: MutationTree, quoted: bool = False):
             return "null"
         return f'"{v}"' if quoted else str(v)
 
-    head = '{\n  "nodes": [\n'
+    head = '{\n  "nodes": [\n    {\n      "depth": '
     for n in tree.nodes:
         a, b, c = n.weights
         yield (
-            f'{head}    {{\n'
-            f'      "depth": {small(n.depth)},\n'
-            f'      "height": "{int_to_decimal(n.height)}",\n'
-            f'      "parent": {small(n.parent)},\n'
-            f'      "pivot": {small(n.pivot)},\n'
-            f'      "truncated": {"true" if n.truncated else "false"},\n'
-            f'      "weights": [\n'
-            f'        "{dec(a)}",\n'
-            f'        "{dec(b)}",\n'
-            f'        "{dec(c)}"\n'
-            f'      ]\n'
-            f'    }}'
+            head, small(n.depth),
+            ',\n      "height": "', int_to_decimal(n.height),
+            '",\n      "parent": ', small(n.parent),
+            ',\n      "pivot": ', small(n.pivot),
+            ',\n      "truncated": ', "true" if n.truncated else "false",
+            ',\n      "weights": [\n        "', dec(a),
+            '",\n        "', dec(b),
+            '",\n        "', dec(c),
+            '"\n      ]\n    }',
         )
-        head = ",\n"
-    yield "\n  ]\n}"
+        head = ',\n    {\n      "depth": '
+    yield ("\n  ]\n}",)
 
 
 def tree_to_json(tree: MutationTree) -> str:
-    return "".join(_tree_json_chunks(tree))
+    return "".join([p for pieces in _tree_json_chunks(tree) for p in pieces])
 
 
 def tree_to_dot(tree: MutationTree) -> str:

@@ -136,13 +136,22 @@ def polygon_vertices(P):
     return tuple((index(x), index(y)) for x, y in P)
 
 
+def _rational(x):
+    """x as an exact rational: a Fraction as it is, anything else read with
+    operator.index, so a float raises TypeError."""
+    return x if isinstance(x, Fraction) else index(x)
+
+
 def dual_polygon(P):
     """Vertices of the dual polygon {u : u(v) >= -1 for all v in P}.
 
-    One rational vertex per edge of P; accepts integer or rational input,
+    One rational vertex per edge of P; accepts integer or Fraction input,
     so applying it twice recovers the original vertex set.
     """
-    vs = P.vertices if isinstance(P, FanoTriangle) else tuple(P)
+    if isinstance(P, FanoTriangle):
+        vs = P.vertices
+    else:
+        vs = tuple((_rational(x), _rational(y)) for x, y in P)
     k = len(vs)
     duals = []
     for i in range(k):

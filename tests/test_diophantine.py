@@ -217,6 +217,12 @@ class TestSolutions:
         with pytest.raises(NonIntegral):
             mutate_solution(eq, (2, 1, 1), 1)
 
+    @pytest.mark.parametrize("pivot", [3, -1])
+    def test_bad_pivot(self, pivot):
+        eq, _, _ = derive_equation((1, 1, 1))
+        with pytest.raises(ValueError, match=f"pivot must be 0, 1 or 2, got {pivot}"):
+            mutate_solution(eq, (1, 1, 1), pivot)
+
 
 class TestHeightAndDescent:
     def test_heights(self):

@@ -12,6 +12,7 @@ from fwpp import pell357
 from fwpp.diophantine import (
     DiophantineEquation,
     NonIntegral,
+    build_mutation_tree,
     derive_equation,
     height,
     mutate_solution,
@@ -29,6 +30,7 @@ from fwpp.fwps import (
 from fwpp.lattice import (
     OriginNotInterior,
     degree,
+    dual_polygon,
     int_to_decimal,
     make_fano_triangle,
     validate_fano_polygon,
@@ -67,11 +69,15 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: canonical_form([(1.0, 0), (0, 1), (-1, -1)]),
     lambda: mutate_with([(1.0, -1), (-1, 2), (0, -1)], Factor((0, 1), (1, 0), 1)),
     lambda: vertex_weights([(1.0, 0), (0, 1), (-1, -1)]),
+    lambda: build_mutation_tree((1, 1, 1), max_depth=2.5),
+    lambda: build_mutation_tree((1, 1, 1), max_height=30.5),
+    lambda: dual_polygon([(0.1, 0), (0, 1), (-1, -1)]),
 ], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor", "canon_weights",
         "is_well_formed", "wps_triangle", "mutate_weights", "derive_equation",
         "verify_solution", "mutate_solution", "height", "is_solution",
         "component_of", "coprime_implies_well_formed_check", "solution_weights",
-        "degree", "canonical_form", "mutate_with", "vertex_weights"])
+        "degree", "canonical_form", "mutate_with", "vertex_weights",
+        "build_mutation_tree-depth", "build_mutation_tree-height", "dual_polygon"])
 def test_non_integers_rejected(call):
     with pytest.raises(TypeError):
         call()

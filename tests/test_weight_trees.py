@@ -1,10 +1,12 @@
 """Mutation trees, their JSON and the descent against the all-pivot oracles.
 
-The library builds trees and descends with one unchecked weight step that
-only tries the pivots able to raise (or lower) the height, and writes tree
-JSON node by node. The oracles below are the straightforward versions:
-every pivot through the public, validating mutate_weights, and the JSON of
-a dict document through json.dumps.
+The library descends with one unchecked weight step that only tries the
+pivot able to lower the height. It builds trees with the same step in
+Vieta form, from the degree of the root, keeps no set of visited triples,
+and writes tree JSON in one copy. The oracles below are the
+straightforward versions: every pivot through the public, validating
+mutate_weights, a seen set, and the JSON of a dict document through
+json.dumps.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import json
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +23,14 @@ from fwpp.cli import _jsonable, main
 from fwpp.diophantine import (
     MutationTree,
     TreeNode,
+    _vieta_step,
     build_mutation_tree,
     descend_to_minimal,
     height,
     tree_to_dot,
     tree_to_json,
 )
-from fwpp.fwps import NotDivisible, is_well_formed, mutate_weights
+from fwpp.fwps import NotDivisible, _step, is_well_formed, mutate_weights
 
 
 def descent_oracle(weights):
@@ -108,10 +112,14 @@ def assert_tree_matches(root, **bounds):
     tree = build_mutation_tree(root, **bounds)
     oracle = tree_oracle(root, **bounds)
     assert tree.nodes == oracle.nodes
+    assert len(tree.weight_set()) == len(tree.nodes)
     assert tree_to_json(tree) == json_oracle(oracle)
 
 
-ROOTS = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (3, 5, 7), (5, 7, 12), (3, 5, 11)]
+# Degrees 9, 8, 6, 15/7, 10/3, 16/3, 48/35, 361/165: the last five make
+# the Vieta step test that the degree's denominator divides li * lj.
+ROOTS = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (3, 5, 7), (2, 3, 5), (1, 3, 4),
+         (5, 7, 12), (3, 5, 11)]
 BOUNDS = [{"max_depth": 7}, {"max_height": 10**12},
           {"max_depth": 6, "max_height": 10**6}]
 
@@ -137,6 +145,31 @@ def test_tree_matches_oracle_on_drawn_roots(root, max_depth, max_height):
     if max_depth is None and max_height is None:
         max_depth = 4
     assert_tree_matches(root, max_depth=max_depth, max_height=max_height)
+
+
+def climbed(root, pivots):
+    """The triple reached from a sorted root by the height-increasing steps
+    at the given pivots, where they divide, stopping at 300 bits."""
+    w = root
+    for pivot in pivots:
+        if 2 * w[pivot] < sum(w) and (t := _step(w, pivot)) is not None:
+            if t[2].bit_length() > 300:
+                break
+            w = t
+    return w
+
+
+big_well_formed = st.tuples(*[st.integers(1, 2**300)] * 3).filter(is_well_formed)
+tree_triples = st.builds(climbed, well_formed.map(lambda w: tuple(sorted(w))),
+                         st.lists(st.integers(0, 2), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(big_well_formed.map(lambda w: tuple(sorted(w))), tree_triples))
+def test_vieta_step_matches_step(w):
+    deg = Fraction(sum(w) ** 2, w[0] * w[1] * w[2])
+    for pivot in range(3):
+        assert _vieta_step(w, pivot, deg.numerator, deg.denominator) == _step(w, pivot)
 
 
 def test_tree_rejects_bad_input():
