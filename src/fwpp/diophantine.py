@@ -160,8 +160,17 @@ def derive_equation(weights):
     return eq, tuple(isqrt(l // ci) for l, ci in zip(lams, c)), derivation
 
 
+def _solution(s) -> tuple[int, int, int]:
+    """A solution triple read with operator.index; any other length raises
+    ValueError."""
+    s = tuple(index(x) for x in s)
+    if len(s) != 3:
+        raise ValueError(f"need a solution of three integers, got {format_ints(s)}")
+    return s
+
+
 def verify_solution(eq: DiophantineEquation, s) -> bool:
-    x0, x1, x2 = (index(x) for x in s)
+    x0, x1, x2 = _solution(s)
     c0, c1, c2 = eq.c
     return eq.m * x0 * x1 * x2 == eq.k * (c0 * x0**2 + c1 * x1**2 + c2 * x2**2)
 
@@ -169,16 +178,19 @@ def verify_solution(eq: DiophantineEquation, s) -> bool:
 def mutate_solution(eq: DiophantineEquation, s, pivot: int):
     """(a0,a1,a2) -> ((m/k) ai aj / cp - ap, ...) at the pivot index;
     raises NonIntegral when the image is not a positive integer."""
-    s = tuple(index(x) for x in s)
+    s = _solution(s)
     if pivot not in (0, 1, 2):
         raise ValueError(f"pivot must be 0, 1 or 2, got {pivot!r}")
     ai, aj = (s[i] for i in range(3) if i != pivot)
-    new = Fraction(eq.m, eq.k) * ai * aj / eq.c[pivot] - s[pivot]
-    if new.denominator != 1 or new <= 0:
+    num, den = eq.m * ai * aj, eq.k * eq.c[pivot]
+    q, r = divmod(num, den)
+    new = q - s[pivot]
+    if r or new <= 0:
         raise NonIntegral(f"pivot {pivot} transform of {format_ints(s)} gives "
-                          f"{format_ints(new)}, not a positive integer")
+                          f"{format_ints(Fraction(num, den) - s[pivot])}, "
+                          "not a positive integer")
     out = list(s)
-    out[pivot] = new.numerator
+    out[pivot] = new
     return tuple(out)
 
 

@@ -14,13 +14,15 @@ edge p -> q of lattice length L and cone index r = det(p, q) at the lowest
 height h_min = -r/L admits the lengths l <= L // (r/L). The factor -f is a
 translate of +f by a vector at height zero, so it gives a unimodularly
 equivalent polygon; factor discovery returns f = (w1, -w0) only. The
-widths are the integer edge normals; only the dual map uses Fractions.
+widths are the integer edge normals, so this module works in integers
+only. The map a mutation induces on the dual polygon is by definition the
+dual of the mutated polygon: apply_dual_map is lattice.dual_polygon of
+mutate_with's output, and the rational arithmetic stays in dual_polygon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import index
 
@@ -146,29 +148,9 @@ def mutate_with(P, factor: Factor):
 
 def apply_dual_map(P, factor: Factor):
     """Image of the dual polygon under the piecewise linear map induced by
-    the factor; equals the dual of the mutated polygon."""
-    l_max = _max_length(polygon_vertices(P), factor.w)
-    if factor.length > l_max:
-        raise InvalidFactor(f"factor length {format_ints(factor.length)}"
-                            f" exceeds the maximum {format_ints(l_max)}")
-    dual = dual_polygon(P)
-    f, w, length = factor.f, factor.w, factor.length
-    pts = list(dual)
-    k = len(dual)
-    for i in range(k):
-        u, v = dual[i], dual[(i + 1) % k]
-        su, sv = pairing(u, f), pairing(v, f)
-        if (su < 0 < sv) or (sv < 0 < su):
-            t = Fraction(su, su - sv)
-            pts.append((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
-    images = []
-    for u in pts:
-        uf = pairing(u, f)
-        if uf >= 0:
-            images.append((Fraction(u[0]), Fraction(u[1])))
-        else:
-            images.append((u[0] - length * uf * w[0], u[1] - length * uf * w[1]))
-    return convex_hull(images)
+    the factor, which is by definition the dual of the mutated polygon;
+    raises InvalidMutationData when the factor length is infeasible."""
+    return dual_polygon(mutate_with(P, factor))
 
 
 # --- unimodular equivalence -------------------------------------------------

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from operator import index
 
-from .diophantine import DiophantineEquation
+from .diophantine import DiophantineEquation, _solution, mutate_solution, verify_solution
 from .fwps import is_well_formed
 from .lattice import format_ints
 
@@ -43,8 +42,7 @@ class Component:
 
 
 def is_solution(s) -> bool:
-    a0, a1, a2 = (index(x) for x in s)
-    return 12 * a0 * a1 * a2 == 3 * a0**2 + 5 * a1**2 + 7 * a2**2
+    return verify_solution(EQUATION, s)
 
 
 def _perfect_square(n: int):
@@ -120,7 +118,7 @@ def family_a2_fixed(count: int):
 
 
 def _checked_solution(s) -> tuple[int, int, int]:
-    s = tuple(index(x) for x in s)
+    s = _solution(s)
     if not is_solution(s):
         raise NotASolution(f"{format_ints(s)} does not solve the equation")
     return s
@@ -128,11 +126,11 @@ def _checked_solution(s) -> tuple[int, int, int]:
 
 def component_of(s) -> Component:
     """The mutation component of a solution: the one or two solutions
-    sharing its (a1, a2), since a1 and a2 are fixed under mutation."""
+    sharing its (a1, a2), since a1 and a2 are fixed under mutation. By
+    Vieta, the other root of the quadratic in a0 is the pivot-0 mutation
+    4 a1 a2 - a0."""
     s = _checked_solution(s)
-    slice_ = solve_quadratic_357(s[1], s[2])
-    assert slice_.roots is not None and s[0] in slice_.roots
-    sols = sorted({(root, s[1], s[2]) for root in slice_.roots})
+    sols = sorted({s, mutate_solution(EQUATION, s, 0)})
     return Component(solutions=tuple(sols))
 
 
@@ -143,7 +141,7 @@ def coprime_implies_well_formed_check(s) -> bool:
 
 
 def solution_weights(s) -> tuple[int, int, int]:
-    a0, a1, a2 = (index(x) for x in s)
+    a0, a1, a2 = _solution(s)
     return (3 * a0**2, 5 * a1**2, 7 * a2**2)
 
 

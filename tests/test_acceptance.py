@@ -35,6 +35,7 @@ from fwpp.mutation import (
 )
 from fwpp.pell357 import EQUATION, component_of, family_a1_fixed, is_solution
 
+from dual_map_oracle import pl_dual_map
 from test_diophantine import markov_solutions
 from test_fwps import _t_oracle
 
@@ -58,8 +59,9 @@ def test_criterion_1_example_mutation(capsys):
         factor = Factor(w=(0, 1), f=(1, 0), length=1)
         Q = mutate_with(P2, factor)
         assert set(Q) == {(1, 2), (-1, 2), (0, -1)}
-        image = set(apply_dual_map(P2, factor))
-        assert image == set(dual_polygon(make_fano_triangle(*Q)))
+        image = apply_dual_map(P2, factor)
+        assert image == pl_dual_map(P2, factor)
+        assert set(image) == set(dual_polygon(make_fano_triangle(*Q)))
 
     _criterion(capsys, 1, "example mutation", check)
 

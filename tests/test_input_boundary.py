@@ -31,13 +31,13 @@ from fwpp.lattice import (
     OriginNotInterior,
     degree,
     dual_polygon,
+    format_ints,
     int_to_decimal,
     make_fano_triangle,
     validate_fano_polygon,
 )
 from fwpp.mutation import (
     Factor,
-    InvalidFactor,
     InvalidMutationData,
     apply_dual_map,
     canonical_form,
@@ -83,6 +83,23 @@ def test_non_integers_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("solution", [(1, 1), (1, 1, 1, 1)], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda s: mutate_solution(MARKOV, s, 0),
+    lambda s: verify_solution(MARKOV, s),
+    pell357.is_solution,
+    pell357.solution_weights,
+    pell357.component_of,
+    pell357.coprime_implies_well_formed_check,
+], ids=["mutate_solution", "verify_solution", "is_solution", "solution_weights",
+        "component_of", "coprime_implies_well_formed_check"])
+def test_solutions_of_other_lengths_rejected(call, solution):
+    with pytest.raises(ValueError) as info:
+        call(solution)
+    assert type(info.value) is ValueError
+    assert format_ints(solution) in str(info.value)
+
+
 N = 10**4400
 
 
@@ -102,7 +119,7 @@ N = 10**4400
     (lambda: mutate_with(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
      InvalidMutationData, N),
     (lambda: apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
-     InvalidFactor, N),
+     InvalidMutationData, N),
 ], ids=["canon_weights", "wps_triangle", "derive_equation", "find_factors",
         "validate_fano_polygon", "cone_singularity", "component_of",
         "coprime_implies_well_formed_check", "mutate_solution",

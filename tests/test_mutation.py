@@ -29,6 +29,7 @@ from fwpp.mutation import (
     mutate_with,
     unimodular_equivalent,
 )
+from dual_map_oracle import pl_dual_map
 from slice_oracle import apply_matrix, egcd, lattice_slice_interval, width_transform
 
 P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
@@ -283,17 +284,37 @@ class TestDualMap:
             if u[0] * factor.f[0] + u[1] * factor.f[1] >= 0:
                 assert all(u[0] * x + u[1] * y >= -1 for x, y in Q)
 
-    def test_matches_dual_of_mutation(self, small_corpus):
-        for P in small_corpus[:12]:
-            for w in admissible_widths(P):
-                for factor in find_factors(P, w):
-                    for fac in (factor, _negated(factor)):
-                        Q = mutate_with(P, fac)
-                        assert set(apply_dual_map(P, fac)) == set(dual_polygon(Q))
+    def test_matches_dual_of_mutation(self, corpus):
+        # the piecewise-linear map on the dual, in both vertex orders and
+        # for +-f, one length past the maximum included
+        for T in corpus:
+            for P in (T, T.vertices[::-1]):
+                for w in admissible_widths(P):
+                    factors = find_factors(P, w)
+                    factors.append(Factor(w=w, f=(w[1], -w[0]),
+                                          length=len(factors) + 1))
+                    for factor in factors:
+                        for fac in (factor, _negated(factor)):
+                            try:
+                                want = pl_dual_map(P, fac)
+                            except InvalidFactor as e:
+                                with pytest.raises(InvalidMutationData) as info:
+                                    apply_dual_map(P, fac)
+                                assert str(info.value) == str(e)
+                                continue
+                            assert apply_dual_map(P, fac) == want
 
     def test_invalid_factor(self):
-        with pytest.raises(InvalidFactor):
+        with pytest.raises(InvalidMutationData):
             apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=2))
+
+    @pytest.mark.parametrize("vertices", [
+        [(-1, -1), (1, -1), (1, 0), (-1, 0)],  # origin on an edge
+        [(-1, -1), (1, -1), (0, 2)],  # a vertex that is not primitive
+    ])
+    def test_non_fano_input_rejected(self, vertices):
+        with pytest.raises(LatticeError):
+            apply_dual_map(vertices, Factor(w=(0, 1), f=(1, 0), length=1))
 
 
 class TestEnumerate:

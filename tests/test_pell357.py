@@ -117,9 +117,28 @@ class TestComponents:
         comp = component_of((1, 5, 4))
         assert comp.solutions == ((1, 5, 4), (79, 5, 4))
 
+    @pytest.mark.parametrize("family", ["a1", "a2"])
+    def test_matches_quadratic_roots(self, family):
+        # the Vieta partner 4 a1 a2 - a0 against both roots from the
+        # discriminant, along 60 rows of each Pell family
+        if family == "a1":
+            sols = [(a0, 1, a2) for a0, a2, _ in family_a1_fixed(60)]
+        else:
+            sols = [(a0, a1, 1) for a0, a1, _ in family_a2_fixed(60)]
+        for s in sols:
+            roots = solve_quadratic_357(s[1], s[2]).roots
+            want = tuple(sorted({(root, s[1], s[2]) for root in roots}))
+            assert component_of(s).solutions == want
+
     def test_not_a_solution(self):
         with pytest.raises(NotASolution):
             component_of((1, 1, 1))
+
+    @pytest.mark.parametrize("s", [(0, 0, 0), (-2, -1, 1), (-3, 1, -4)])
+    def test_non_positive_a0_rejected(self, s):
+        # the pivot-0 partner of a0 <= 0 is not a positive integer
+        with pytest.raises(NonIntegral):
+            component_of(s)
 
     def test_size_at_most_two(self):
         comps = scan_components(500)
