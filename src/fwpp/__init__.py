@@ -5,6 +5,7 @@ Diophantine equations, mutation trees, and the 3/5/7 Pell families."""
 from .lattice import (
     FanoTriangle,
     LatticeError,
+    NonConvexPolygon,
     NonPrimitiveVertex,
     OriginNotInterior,
     degree,

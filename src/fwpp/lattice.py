@@ -1,10 +1,11 @@
 """Exact lattice geometry for two-dimensional Fano polygons.
 
-All arithmetic is over Python ints, with Fractions only in the dual polygon
-and the degree; floats are refused, never truncated. Points are plain tuples
-and polygons are tuples of points in counterclockwise order starting from the
-lexicographically smallest vertex, so equality of canonicalized polygons is
-plain tuple equality.
+All arithmetic is over Python ints, with Fractions only in the dual polygon;
+the degree is summed as an integer numerator over an integer denominator and
+made a Fraction once, at the end. Floats are refused, never truncated.
+Points are plain tuples and polygons are tuples of points in counterclockwise
+order starting from the lexicographically smallest vertex, so equality of
+canonicalized polygons is plain tuple equality.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import index
 
 Point = tuple[int, int]
@@ -29,6 +30,10 @@ class NonPrimitiveVertex(LatticeError):
 
 
 class OriginNotInterior(LatticeError):
+    pass
+
+
+class NonConvexPolygon(LatticeError):
     pass
 
 
@@ -85,21 +90,52 @@ def convex_hull(points):
     return tuple(lower[:-1] + upper[:-1])
 
 
-def validate_fano_polygon(vertices) -> None:
-    """Raise unless vertices form a CCW convex polygon with primitive
-    vertices and the origin strictly interior."""
+def _check_origin_interior(vertices) -> None:
+    """Raise unless there are at least three vertices and the origin lies
+    strictly to the left of every edge, det(v_i, v_(i+1)) > 0."""
     k = len(vertices)
     if k < 3:
         raise OriginNotInterior(f"degenerate polygon {format_ints(vertices)}")
-    for v in vertices:
-        if not is_primitive(v):
-            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
     for i in range(k):
         p, q = vertices[i], vertices[(i + 1) % k]
         if det(p, q) <= 0:
             raise OriginNotInterior(
                 f"origin not strictly interior (edge {format_ints(p)} -> {format_ints(q)})"
             )
+
+
+def _interior_hull(points):
+    """The counterclockwise convex hull of the points, which must hold the
+    origin strictly inside."""
+    hull = convex_hull(points)
+    _check_origin_interior(hull)
+    return hull
+
+
+def validate_fano_polygon(vertices) -> None:
+    """Raise unless vertices form a CCW convex polygon with primitive
+    vertices and the origin strictly interior.
+
+    With the origin left of every edge, a strict left turn at every vertex
+    and one turn around the origin make the polygon convex. The turns are
+    counted as the edges that cross the positive x-axis upwards."""
+    for v in vertices:
+        if not is_primitive(v):
+            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
+    _check_origin_interior(vertices)
+    k = len(vertices)
+    windings = 0
+    for i in range(k):
+        o, p, q = vertices[i - 1], vertices[i], vertices[(i + 1) % k]
+        if _cross(o, p, q) <= 0:
+            raise NonConvexPolygon(
+                f"polygon is not strictly convex at vertex {format_ints(p)}")
+        if p[1] < 0 <= q[1]:
+            windings += 1
+    if windings != 1:
+        raise NonConvexPolygon(
+            f"vertices {format_ints(tuple(vertices))} wind around the origin"
+            f" {windings} times")
 
 
 @dataclass(frozen=True)
@@ -145,20 +181,20 @@ def _rational(x):
 def dual_polygon(P):
     """Vertices of the dual polygon {u : u(v) >= -1 for all v in P}.
 
-    One rational vertex per edge of P; accepts integer or Fraction input,
-    so applying it twice recovers the original vertex set.
+    One rational vertex per edge of the convex hull of P, which must hold
+    the origin strictly inside; accepts integer or Fraction input, so
+    applying it twice recovers the original vertex set.
     """
     if isinstance(P, FanoTriangle):
         vs = P.vertices
     else:
-        vs = tuple((_rational(x), _rational(y)) for x, y in P)
-    k = len(vs)
+        vs = _interior_hull([(_rational(x), _rational(y)) for x, y in P])
     duals = []
-    for i in range(k):
-        p, q = vs[i], vs[(i + 1) % k]
+    for p, q in zip(vs, vs[1:] + vs[:1]):
         d = Fraction(det(p, q))
         duals.append((Fraction(p[1] - q[1]) / d, Fraction(q[0] - p[0]) / d))
-    return convex_hull(duals)
+    # the hull's edges give distinct dual vertices, already counterclockwise
+    return canonical_cycle(duals)
 
 
 def pairing(w, v):
@@ -168,13 +204,23 @@ def pairing(w, v):
 
 def degree(P) -> Fraction:
     """Anticanonical degree of the spanning-fan toric surface: twice the
-    Euclidean area of the dual polygon, as an exact rational."""
-    dual = dual_polygon(polygon_vertices(P))
-    k = len(dual)
-    total = Fraction(0)
-    for i in range(k):
-        total += det(dual[i], dual[(i + 1) % k])
-    return total
+    Euclidean area of the dual polygon, as an exact rational.
+
+    The dual vertex of the hull edge p -> q is n / r, with the integer
+    normal n = (p1 - q1, q0 - p0) and r = det(p, q) > 0, so the degree is
+    the sum of det(n_i, n_(i+1)) / (r_i r_(i+1)) over consecutive edges. It
+    is summed over the common denominator prod(r_i), in integers."""
+    if isinstance(P, FanoTriangle):
+        vs = P.vertices
+    else:
+        vs = _interior_hull(polygon_vertices(P))
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    ns = [(p[1] - q[1], q[0] - p[0]) for p, q in edges]
+    rs = [det(p, q) for p, q in edges]
+    den = prod(rs)
+    num = sum(det(ns[i - 1], ns[i]) * (den // (rs[i - 1] * rs[i]))
+              for i in range(len(vs)))
+    return Fraction(num, den)
 
 
 def edge_lattice_length(a, b) -> int:

@@ -162,30 +162,55 @@ def canonical_form(vertices):
     column (x, y) goes to (c, d) = (s*x + t*y, a*y - b*x); d is negated if
     its first nonzero value is negative, and c reduced by q = c // d there.
     Any Bezout pair gives the same form, so one per vertex serves both
-    orientations."""
+    orientations.
+
+    Each candidate is screened before it is built. Its first column is
+    (g, 0), or (0, 0) when zero vertices rotate to the front, and its
+    second is the next column, reduced to (c mod |d|, |d|) when d != 0 and
+    left as (c, 0) when d = 0. Only the candidates whose two-column key is
+    least are built in full: a larger prefix is never the least tuple."""
     vs = polygon_vertices(vertices)
-    best = None
+    k = len(vs)
+    zeros = (0, 0) in vs
+    least, winners = None, []
     for i, (x0, y0) in enumerate(vs):
         if (x0, y0) == (0, 0):
             continue
         g, s, t = bezout(x0, y0)
         a, b = x0 // g, y0 // g
-        cols = [(s * x + t * y, a * y - b * x) for x, y in vs]
-        if not any(d for _, d in cols):
-            break  # every vertex is a multiple of (a, b)
-        for seq in (cols[i:] + cols[:i], cols[i::-1] + cols[:i:-1]):
+        for step in (1, -1):
             # rotations from the zero vertices just before v0 share its
             # columns, and the one with the most leading zeros is least
-            while seq[-1] == (0, 0):
-                seq.insert(0, seq.pop())
-            c1, d1 = next(col for col in seq if col[1])
-            if d1 < 0:
-                seq = [(c, -d) for c, d in seq]
-                d1 = -d1
-            q = c1 // d1
-            cand = tuple((c - q * d, d) for c, d in seq)
-            if best is None or cand < best:
-                best = cand
+            start = i
+            while zeros and vs[(start - step) % k] == (0, 0):
+                start -= step
+            x, y = vs[(start + step) % k]
+            c, d = s * x + t * y, abs(a * y - b * x)
+            # the candidate's first two columns, flattened
+            key = (g if start == i else 0, 0, c % d if d else c, d)
+            if least is None or key < least:
+                least, winners = key, [(start % k, step, s, t, a, b)]
+            elif key == least:
+                winners.append((start % k, step, s, t, a, b))
+    best = None
+    for start, step, s, t, a, b in winners:
+        seq = (vs[start:] + vs[:start] if step == 1
+               else vs[start::-1] + vs[:start:-1])
+        # the first column off the line of v0 fixes the sign of d and q,
+        # which fold into the row operation (s, t), (a, b)
+        for x, y in seq:
+            d1 = a * y - b * x
+            if d1:
+                break
+        else:
+            break  # every vertex is a multiple of (a, b)
+        if d1 < 0:
+            a, b, d1 = -a, -b, -d1
+        q = (s * x + t * y) // d1
+        s, t = s + q * b, t - q * a
+        cand = tuple([(s * x + t * y, a * y - b * x) for x, y in seq])
+        if best is None or cand < best:
+            best = cand
     if best is None:
         raise DegeneratePolygon(
             f"vertices {format_ints(vs)} do not span the plane")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,9 +7,11 @@ from hypothesis import given, strategies as st
 
 from fwpp.fwps import wps_triangle
 from fwpp.lattice import (
+    NonConvexPolygon,
     NonPrimitiveVertex,
     OriginNotInterior,
     bezout,
+    convex_hull,
     decimal_to_int,
     degree,
     dual_polygon,
@@ -19,7 +22,9 @@ from fwpp.lattice import (
     pairing,
     triangle_from_json,
     triangle_to_json,
+    validate_fano_polygon,
 )
+from fwpp.mutation import enumerate_one_step
 from slice_oracle import height_slice
 
 P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
@@ -116,6 +121,20 @@ class TestDual:
             assert set(again) == {(Fraction(x), Fraction(y))
                                   for x, y in P.vertices}
 
+    def test_origin_on_an_edge_rejected(self):
+        square = [(-1, -1), (1, -1), (1, 0), (-1, 0)]
+        with pytest.raises(OriginNotInterior, match=re.escape("edge (1, 0) -> (-1, 0)")):
+            dual_polygon(square)
+        halves = [(Fraction(x, 2), Fraction(y, 2)) for x, y in square]
+        with pytest.raises(OriginNotInterior, match=re.escape("edge (1/2, 0) -> (-1/2, 0)")):
+            dual_polygon(halves)
+
+    def test_fraction_input_and_either_orientation(self):
+        dual = dual_polygon(P2)
+        assert dual_polygon(list(dual)[::-1]) == dual_polygon(dual)
+        assert set(dual_polygon(dual)) == set(P2.vertices)
+        assert dual_polygon(list(P2.vertices)[::-1]) == dual
+
     def test_origin_interior_of_dual(self, corpus):
         for P in corpus[:30]:
             dual = dual_polygon(P)
@@ -206,6 +225,80 @@ class TestDegree:
             rotated = make_fano_triangle(*[(-y, x) for x, y in P.vertices])
             assert degree(sheared) == d
             assert degree(rotated) == d
+
+
+    def test_matches_dual_area_oracle(self, corpus):
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
+        for vs in polygons:
+            want = _degree_oracle(vs)
+            assert degree(vs) == want
+            assert degree(vs[::-1]) == want
+
+    def test_non_primitive_vertices_accepted(self):
+        assert degree([(2, 0), (0, 1), (-1, -1)]) == Fraction(25, 4)
+        for vs in ([(2, 0), (0, 1), (-1, -1)], [(2, 0), (0, 3), (-1, -1)],
+                   [(6, -4), (-3, 5), (-9, -3)]):
+            assert degree(vs) == _degree_oracle(vs)
+            assert degree(vs[::-1]) == _degree_oracle(vs[::-1])
+
+    def test_matches_dual_area_oracle_at_max_growth_step_14(self, max_growth_branch):
+        P = wps_triangle(*max_growth_branch[14])
+        polygons = [P.vertices] + [Q for _, Q in enumerate_one_step(P)]
+        assert len(polygons) > 1
+        for vs in polygons:
+            assert degree(vs) == _degree_oracle(vs) == 9
+
+    @pytest.mark.parametrize("vertices, edge", [
+        ([(1, 0), (2, 1), (1, 1)], "(1, 1) -> (1, 0)"),           # origin outside
+        ([(-1, -1), (1, -1), (1, 0), (-1, 0)], "(1, 0) -> (-1, 0)"),  # on an edge
+    ])
+    def test_origin_must_be_interior(self, vertices, edge):
+        with pytest.raises(OriginNotInterior, match=re.escape(f"edge {edge}")):
+            degree(vertices)
+
+    def test_degenerate_hull_rejected(self):
+        for vertices in ([], [(1, 0)], [(1, 0), (-1, 0), (2, 0)]):
+            with pytest.raises(OriginNotInterior):
+                degree(vertices)
+
+
+def _degree_oracle(vertices):
+    """The degree the long way, in Fractions: one dual vertex per edge of
+    the vertex cycle as given, their convex hull, and twice its area."""
+    k = len(vertices)
+    duals = []
+    for i in range(k):
+        p, q = vertices[i], vertices[(i + 1) % k]
+        d = Fraction(p[0] * q[1] - p[1] * q[0])
+        duals.append((Fraction(p[1] - q[1]) / d, Fraction(q[0] - p[0]) / d))
+    dual = convex_hull(duals)
+    return sum((dual[i][0] * dual[(i + 1) % len(dual)][1]
+                - dual[i][1] * dual[(i + 1) % len(dual)][0]
+                for i in range(len(dual))), Fraction(0))
+
+
+class TestValidateFanoPolygon:
+    def test_dented_pentagon_rejected(self):
+        dented = ((2, -1), (1, 0), (2, 1), (-1, 1), (-1, -1))
+        with pytest.raises(NonConvexPolygon, match=r"at vertex \(1, 0\)"):
+            validate_fano_polygon(dented)
+
+    def test_collinear_boundary_point_rejected(self):
+        with pytest.raises(NonConvexPolygon, match=r"at vertex \(1, 0\)"):
+            validate_fano_polygon(((1, -1), (1, 0), (1, 1), (-1, 0)))
+
+    def test_pentagram_rejected(self):
+        # every step turns left around the origin, but twice around
+        star = ((-2, -1), (3, -1), (-1, 2), (-1, -3), (1, 2))
+        assert convex_hull(star) != star
+        with pytest.raises(NonConvexPolygon, match="2 times"):
+            validate_fano_polygon(star)
+
+    def test_clockwise_rejected(self):
+        with pytest.raises(OriginNotInterior):
+            validate_fano_polygon(((1, 0), (-1, -1), (0, 1)))
 
 
 class TestEdgeLatticeLength:

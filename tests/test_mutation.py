@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fwpp.diophantine import build_mutation_tree
 from fwpp.fwps import weights_of, wps_triangle
@@ -11,6 +12,7 @@ from fwpp.lattice import (
     LatticeError,
     convex_hull,
     degree,
+    det,
     dual_polygon,
     make_fano_triangle,
     polygon_vertices,
@@ -350,6 +352,28 @@ class TestEnumerate:
         assert weights == build_mutation_tree(root, max_depth=8).weight_set()
 
 
+@st.composite
+def _special_vertex_lists(draw):
+    """2 to 7 vertices, among them zero vertices, repeats, multiples of
+    earlier vertices (collinear through the origin, often non-primitive)
+    and coordinates up to 10^30."""
+    coordinate = st.one_of(st.integers(-4, 4), st.integers(-10**30, 10**30))
+    vs = [(draw(coordinate), draw(coordinate))]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["point", "zero", "repeat", "multiple"]))
+        if kind == "point":
+            vs.append((draw(coordinate), draw(coordinate)))
+        elif kind == "zero":
+            vs.append((0, 0))
+        elif kind == "repeat":
+            vs.append(draw(st.sampled_from(vs)))
+        else:
+            x, y = draw(st.sampled_from(vs))
+            m = draw(st.sampled_from([-3, -2, -1, 2, 3]))
+            vs.append((m * x, m * y))
+    return vs
+
+
 class TestCanonicalForm:
     def test_unimodular_images_equivalent(self, corpus):
         for P in corpus[:30]:
@@ -381,6 +405,21 @@ class TestCanonicalForm:
         outputs = [Q for _, Q in enumerate_one_step(P)]
         assert outputs
         _assert_canonical_forms_match([P.vertices] + outputs)
+
+    def test_matches_hnf_oracle_when_every_candidate_ties(self):
+        # unimodular edges: every rotation and orientation screens to the
+        # same two columns, so each candidate is built
+        _assert_canonical_forms_match([
+            ((1, 0), (0, 1), (-1, -1)),                            # P2
+            ((1, 0), (0, 1), (-1, 0), (0, -1)),                    # P1 x P1
+            ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),  # hexagon
+        ])
+
+    @settings(max_examples=400, deadline=None)
+    @given(_special_vertex_lists())
+    def test_matches_hnf_oracle_on_special_vertex_lists(self, vs):
+        assume(any(det(u, v) for u in vs for v in vs))
+        _assert_canonical_forms_match([vs])
 
     @pytest.mark.parametrize("vertices", [
         [(0, 0), (0, 0), (0, 0)],
