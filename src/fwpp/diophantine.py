@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
 
-from .fwps import _OTHERS, _step, _well_formed_weights, is_well_formed
+from .fwps import _OTHERS, _step, _triple, _well_formed_weights, is_well_formed
 from .lattice import format_ints, int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
@@ -161,12 +161,7 @@ def derive_equation(weights):
 
 
 def _solution(s) -> tuple[int, int, int]:
-    """A solution triple read with operator.index; any other length raises
-    ValueError."""
-    s = tuple(index(x) for x in s)
-    if len(s) != 3:
-        raise ValueError(f"need a solution of three integers, got {format_ints(s)}")
-    return s
+    return _triple(s, "a solution of three integers")
 
 
 def verify_solution(eq: DiophantineEquation, s) -> bool:
@@ -196,7 +191,7 @@ def mutate_solution(eq: DiophantineEquation, s, pivot: int):
 
 def height(weights) -> int:
     """Height of a weight triple: the sum of the weights."""
-    return sum(index(x) for x in weights)
+    return sum(_triple(weights))
 
 
 def descend_to_minimal(weights):

@@ -67,9 +67,17 @@ def canon_weights(weights) -> tuple[int, int, int]:
     return tuple(sorted(w))
 
 
+def _triple(values, what="three weights") -> tuple[int, int, int]:
+    """Three integers read with operator.index; other lengths raise."""
+    t = tuple(index(x) for x in values)
+    if len(t) != 3:
+        raise ValueError(f"need {what}, got {format_ints(t)}")
+    return t
+
+
 def is_well_formed(weights) -> bool:
     """True iff the weights are pairwise coprime."""
-    l0, l1, l2 = (index(x) for x in weights)
+    l0, l1, l2 = _triple(weights)
     return gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1
 
 

@@ -3,9 +3,9 @@
 All arithmetic is over Python ints, with Fractions only in the dual polygon;
 the degree is summed as an integer numerator over an integer denominator and
 made a Fraction once, at the end. Floats are refused, never truncated.
-Points are plain tuples and polygons are tuples of points in counterclockwise
-order starting from the lexicographically smallest vertex, so equality of
-canonicalized polygons is plain tuple equality.
+Points are plain tuples. A polygon is a tuple of points counterclockwise from
+its lex-min vertex, so equality is tuple equality; fano_vertices reads a bare
+point sequence, in any order, as its convex hull, checked once.
 """
 
 from __future__ import annotations
@@ -153,15 +153,7 @@ def canonical_cycle(vertices):
 
 
 def make_fano_triangle(v0, v1, v2) -> FanoTriangle:
-    vs = [(index(x), index(y)) for x, y in (v0, v1, v2)]
-    for v in vs:
-        if not is_primitive(v):
-            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
-    if det(vs[0], vs[1]) < 0:
-        vs = [vs[0], vs[2], vs[1]]
-    verts = tuple(vs)
-    validate_fano_polygon(verts)
-    return FanoTriangle(canonical_cycle(verts))
+    return FanoTriangle(fano_vertices((v0, v1, v2)))
 
 
 def polygon_vertices(P):
@@ -170,6 +162,17 @@ def polygon_vertices(P):
     if isinstance(P, FanoTriangle):
         return P.vertices
     return tuple((index(x), index(y)) for x, y in P)
+
+
+def fano_vertices(P):
+    """The vertices of a Fano polygon: a FanoTriangle's as they are, and for
+    a bare sequence of lattice points, in any order and with any points
+    inside, their convex hull, checked by validate_fano_polygon."""
+    if isinstance(P, FanoTriangle):
+        return P.vertices
+    vs = convex_hull(polygon_vertices(P))
+    validate_fano_polygon(vs)
+    return vs
 
 
 def _rational(x):

@@ -18,6 +18,8 @@ widths are the integer edge normals, so this module works in integers
 only. The map a mutation induces on the dual polygon is by definition the
 dual of the mutated polygon: apply_dual_map is lattice.dual_polygon of
 mutate_with's output, and the rational arithmetic stays in dual_polygon.
+A polygon is checked once, as its hull, by lattice.fano_vertices; a mutation
+of a Fano polygon is Fano (same reference), so no output is checked again.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .lattice import (
     det,
     dual_polygon,
     edge_lattice_length,
+    fano_vertices,
     format_ints,
     is_primitive,
     pairing,
     polygon_vertices,
-    validate_fano_polygon,
 )
 
 
@@ -79,14 +81,13 @@ class Factor:
 
 def admissible_widths(P):
     """The primitive inner edge normals of P, sorted: exactly the widths
-    admitting a nontrivial factor in 2D. Signing (p1 - q1, q0 - p0) by
-    det(p, q) makes clockwise input give the same set."""
-    vs = polygon_vertices(P)
-    widths = set()
+    admitting a nontrivial factor in 2D."""
+    vs = fano_vertices(P)
+    widths = []
     for p, q in zip(vs, vs[1:] + vs[:1]):
         a, b = p[1] - q[1], q[0] - p[0]
-        g = gcd(a, b) if det(p, q) > 0 else -gcd(a, b)
-        widths.add((a // g, b // g))
+        g = gcd(a, b)
+        widths.append((a // g, b // g))
     return sorted(widths)
 
 
@@ -97,11 +98,9 @@ def _max_length(vs, w) -> int:
     hs = [pairing(w, v) for v in vs]
     h_min = min(hs)
     bottom = [v for v, h in zip(vs, hs) if h == h_min]
-    # collinear points sort along their line, so these are the edge's ends
-    p, q = min(bottom), max(bottom)
-    if h_min >= 0 or p == q:
+    if h_min >= 0 or len(bottom) == 1:
         return 0
-    return edge_lattice_length(p, q) // -h_min
+    return edge_lattice_length(*bottom) // -h_min
 
 
 def find_factors(P, w) -> list[Factor]:
@@ -110,7 +109,7 @@ def find_factors(P, w) -> list[Factor]:
     if not is_primitive(w):
         raise ValueError(f"width vector {format_ints(w)} must be primitive")
     f = (w[1], -w[0])
-    l_max = _max_length(polygon_vertices(P), w)
+    l_max = _max_length(fano_vertices(P), w)
     return [Factor(w=w, f=f, length=length) for length in range(1, l_max + 1)]
 
 
@@ -118,12 +117,11 @@ def mutate_with(P, factor: Factor):
     """Combinatorial mutation of P by the factor; raises InvalidMutationData
     when its length is infeasible."""
     w, f, length = factor.w, factor.f, factor.length
-    vs = polygon_vertices(P)
+    vs = fano_vertices(P)
     l_max = _max_length(vs, w)
     if length > l_max:
         raise InvalidMutationData(f"factor length {format_ints(length)}"
                                   f" exceeds the maximum {format_ints(l_max)}")
-    vs = convex_hull(vs)  # counterclockwise, whatever order P came in
     hs = [pairing(w, v) for v in vs]
     climbing_in_front = det(f, w) > 0
     dx, dy = length * f[0], length * f[1]
@@ -141,9 +139,7 @@ def mutate_with(P, factor: Factor):
             points.append((x, y))
         if front:
             points.append((x + h * dx, y + h * dy))
-    out = convex_hull(points)
-    validate_fano_polygon(out)
-    return out
+    return convex_hull(points)
 
 
 def apply_dual_map(P, factor: Factor):
@@ -218,7 +214,9 @@ def canonical_form(vertices):
 
 
 def unimodular_equivalent(A, B) -> bool:
-    return canonical_form(A) == canonical_form(B)
+    """True iff the convex hulls of A and B are unimodularly equivalent."""
+    return (canonical_form(convex_hull(polygon_vertices(A)))
+            == canonical_form(convex_hull(polygon_vertices(B))))
 
 
 def enumerate_one_step(P, triangles_only: bool = False):

@@ -66,43 +66,36 @@ def condition_357(a1: int, a2: int):
 def solve_quadratic_357(a1: int, a2: int) -> QuadraticSlice:
     """Integer roots of 12 x a1 a2 = 3 x^2 + 5 a1^2 + 7 a2^2.
 
-    A rational root exists iff the discriminant is a perfect square, and
-    rational roots are automatically integral.
+    The discriminant is 12 times condition_357's left side: a perfect square
+    36 N^2 iff that gives N, and then the roots are 2 a1 a2 -+ N.
     """
     disc = 144 * a1**2 * a2**2 - 12 * (5 * a1**2 + 7 * a2**2)
-    s = _perfect_square(disc)
-    roots = None
-    if s is not None and (12 * a1 * a2 + s) % 6 == 0:
-        alpha = (12 * a1 * a2 - s) // 6
-        beta = (12 * a1 * a2 + s) // 6
-        roots = (alpha, beta)
+    n = condition_357(a1, a2)
+    roots = None if n is None else (2 * a1 * a2 - n, 2 * a1 * a2 + n)
     return QuadraticSlice(a1=a1, a2=a2, discriminant=disc, roots=roots)
 
 
-def _pell_family(count, coeff, a_fixed_is_a1, var_seeds, m_seeds, a0_seeds):
+def _pell_family(count, coeff, a_fixed_is_a1, var_seeds, m_seeds, c):
     if count < 1:
         raise ValueError("count must be >= 1")
     rows = []
-    var, m, a0 = list(var_seeds), list(m_seeds), list(a0_seeds)
+    var, m = list(var_seeds), list(m_seeds)
     for n in range(count):
         if n >= 2:
             var.append(coeff * var[-1] - var[-2])
             m.append(coeff * m[-1] - m[-2])
-            a0.append(coeff * a0[-1] - a0[-2])
-        if a_fixed_is_a1:
-            sol = (a0[n], 1, var[n])
-        else:
-            sol = (a0[n], var[n], 1)
+        a0 = 2 * var[n] - c * m[n]  # the smaller root, as N = c M here
+        sol = (a0, 1, var[n]) if a_fixed_is_a1 else (a0, var[n], 1)
         assert is_solution(sol)
         assert gcd(gcd(sol[0], sol[1]), sol[2]) == 1
-        rows.append((a0[n], var[n], m[n]))
+        rows.append((a0, var[n], m[n]))
     return rows
 
 
 def family_a1_fixed(count: int):
     """Terms (a0, a2, M) of the a1 = 1 family: a2^2 - 1 = 15 M^2, all three
     sequences satisfying x(n+1) = 8 x(n) - x(n-1)."""
-    rows = _pell_family(count, 8, True, [1, 4], [0, 1], [2, 3])
+    rows = _pell_family(count, 8, True, [1, 4], [0, 1], 5)
     for a0, a2, m in rows:
         assert a2**2 - 1 == 15 * m**2
     return rows
@@ -111,7 +104,7 @@ def family_a1_fixed(count: int):
 def family_a2_fixed(count: int):
     """Terms (a0, a1, M) of the a2 = 1 family: a1^2 - 1 = 21 M^2, all three
     sequences satisfying x(n+1) = 110 x(n) - x(n-1)."""
-    rows = _pell_family(count, 110, False, [1, 55], [0, 12], [2, 26])
+    rows = _pell_family(count, 110, False, [1, 55], [0, 12], 7)
     for a0, a1, m in rows:
         assert a1**2 - 1 == 21 * m**2
     return rows

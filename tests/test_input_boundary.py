@@ -91,8 +91,11 @@ def test_non_integers_rejected(call):
     pell357.solution_weights,
     pell357.component_of,
     pell357.coprime_implies_well_formed_check,
+    height,
+    is_well_formed,
 ], ids=["mutate_solution", "verify_solution", "is_solution", "solution_weights",
-        "component_of", "coprime_implies_well_formed_check"])
+        "component_of", "coprime_implies_well_formed_check", "height",
+        "is_well_formed"])
 def test_solutions_of_other_lengths_rejected(call, solution):
     with pytest.raises(ValueError) as info:
         call(solution)

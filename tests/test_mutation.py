@@ -137,12 +137,7 @@ class TestMutate:
         rng = random.Random(11)
         total = 0
         for P in small_corpus:
-            vs = P.vertices
-            points = []
-            for p, q in zip(vs, vs[1:] + vs[:1]):
-                n = gcd(q[0] - p[0], q[1] - p[1])
-                step = ((q[0] - p[0]) // n, (q[1] - p[1]) // n)
-                points += [(p[0] + i * step[0], p[1] + i * step[1]) for i in range(n)]
+            points = _boundary_points(P.vertices)
             rng.shuffle(points)
             for w in admissible_widths(P):
                 factors = find_factors(P, w)
@@ -352,6 +347,65 @@ class TestEnumerate:
         assert weights == build_mutation_tree(root, max_depth=8).weight_set()
 
 
+def _boundary_points(vs):
+    """Every lattice point on the boundary of the polygon."""
+    points = []
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        n = gcd(q[0] - p[0], q[1] - p[1])
+        step = ((q[0] - p[0]) // n, (q[1] - p[1]) // n)
+        points += [(p[0] + i * step[0], p[1] + i * step[1]) for i in range(n)]
+    return points
+
+
+class TestBareVertexLists:
+    """A bare list is read as its convex hull, checked once: any order and
+    any extra points inside give the answers of the counterclockwise hull,
+    and a list whose hull is not a Fano polygon raises."""
+
+    def test_any_order_gives_the_hull_answer(self, corpus):
+        rng = random.Random(23)
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
+        for vs in polygons:
+            shuffled = list(vs)
+            rng.shuffle(shuffled)
+            points = _boundary_points(vs)
+            rng.shuffle(points)
+            with_origin = list(vs) + [(0, 0)]
+            rng.shuffle(with_origin)
+            widths = admissible_widths(vs)
+            factors = [find_factors(vs, w) for w in widths]
+            classes = enumerate_one_step(vs)
+            for other in (vs[::-1], shuffled, points, with_origin):
+                assert admissible_widths(other) == widths
+                assert [find_factors(other, w) for w in widths] == factors
+                assert enumerate_one_step(other) == classes
+
+    def test_shuffled_quadrilateral(self):
+        quad = [(8, 5), (-9, -4), (29, 12), (-3, -2)]
+        hull = convex_hull(quad)
+        assert hull != tuple(quad)
+        assert len(enumerate_one_step(hull)) == 1
+        assert enumerate_one_step(quad) == enumerate_one_step(hull)
+
+    @pytest.mark.parametrize("vertices", [
+        [(-1, -1), (1, -1), (1, 0), (-1, 0)],
+        [(-1, -1), (1, -1), (0, 2)],
+        [(1, 0), (0, 1), (1, 1)],
+    ], ids=["origin-on-edge", "non-primitive-vertex", "origin-outside"])
+    @pytest.mark.parametrize("call", [
+        admissible_widths,
+        lambda P: find_factors(P, (0, 1)),
+        enumerate_one_step,
+        lambda P: mutate_with(P, Factor(w=(0, 1), f=(1, 0), length=1)),
+    ], ids=["admissible_widths", "find_factors", "enumerate_one_step",
+            "mutate_with"])
+    def test_non_fano_input_rejected(self, call, vertices):
+        with pytest.raises(LatticeError):
+            call(vertices)
+
+
 @st.composite
 def _special_vertex_lists(draw):
     """2 to 7 vertices, among them zero vertices, repeats, multiples of
@@ -381,6 +435,13 @@ class TestCanonicalForm:
             flipped = make_fano_triangle(*[(y, x) for x, y in P.vertices])
             assert unimodular_equivalent(P.vertices, sheared.vertices)
             assert unimodular_equivalent(P.vertices, flipped.vertices)
+
+    def test_compares_hulls_in_any_vertex_order(self):
+        diamond = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        assert unimodular_equivalent(diamond, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+        quad = [(8, 5), (-9, -4), (29, 12), (-3, -2)]
+        assert unimodular_equivalent(quad, convex_hull(quad))
+        assert unimodular_equivalent(quad, _boundary_points(convex_hull(quad)))
 
     def test_distinguishes_different_planes(self):
         assert not unimodular_equivalent(P2.vertices, Q114.vertices)
