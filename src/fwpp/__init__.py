@@ -3,7 +3,7 @@ projective planes: weight transformations, T-singularities, Markov-type
 Diophantine equations, mutation trees, and the 3/5/7 Pell families."""
 
 from .lattice import (
-    FanoTriangle,
+    FanoPolygon,
     LatticeError,
     NonConvexPolygon,
     NonPrimitiveVertex,

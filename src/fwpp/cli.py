@@ -25,7 +25,7 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_triangle(path: str) -> lattice.FanoTriangle:
+def _load_triangle(path: str) -> lattice.FanoPolygon:
     return lattice.triangle_from_json(_read_input(path))
 
 
@@ -92,9 +92,8 @@ def cmd_analyze(args) -> int:
     P = _load_triangle(args.input)
     inv = fwps.weights_of(P)
     edges = []
-    vs = P.vertices
     for i in range(3):
-        u, v = vs[i], vs[(i + 1) % 3]
+        u, v = P[i], P[(i + 1) % 3]
         s = fwps.cone_singularity(u, v)
         edges.append({
             "from": list(u),
@@ -105,7 +104,7 @@ def cmd_analyze(args) -> int:
             "t_singularity": fwps.is_T_singularity(s),
         })
     obj = {
-        "vertices": [list(v) for v in vs],
+        "vertices": [list(v) for v in P],
         "weights": list(inv.weights),
         "mult": inv.mult,
         "degree": inv.degree,

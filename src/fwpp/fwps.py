@@ -13,16 +13,16 @@ from math import gcd
 from operator import index
 
 from .lattice import (
-    FanoTriangle,
+    FanoPolygon,
     LatticeError,
     Point,
     bezout,
     det,
+    fano_vertices,
     format_ints,
     int_to_decimal,
     is_primitive,
     make_fano_triangle,
-    polygon_vertices,
 )
 
 
@@ -82,12 +82,16 @@ def is_well_formed(weights) -> bool:
 
 
 def vertex_weights(P) -> tuple[tuple[int, int, int], int]:
-    """Per-vertex weights (in vertex order) and the multiplicity.
+    """Per-vertex weights, in the hull's vertex order, and the multiplicity
+    of the Fano triangle P, read by lattice.fano_vertices.
 
     lambda_i is the opposite edge determinant divided by the gcd g of the
     three determinants; g is the index of the vertex-generated sublattice.
     """
-    v0, v1, v2 = polygon_vertices(P)
+    vs = fano_vertices(P)
+    if len(vs) != 3:
+        raise ValueError(f"expected 3 vertices, got {len(vs)}")
+    v0, v1, v2 = vs
     d0, d1, d2 = det(v1, v2), det(v2, v0), det(v0, v1)
     g = gcd(gcd(d0, d1), d2)
     return (d0 // g, d1 // g, d2 // g), g
@@ -202,7 +206,7 @@ def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
     return out
 
 
-def wps_triangle(l0: int, l1: int, l2: int) -> FanoTriangle:
+def wps_triangle(l0: int, l1: int, l2: int) -> FanoPolygon:
     """A Fano triangle whose spanning fan defines P(l0, l1, l2); requires
     well-formed weights."""
     w = (index(l0), index(l1), index(l2))

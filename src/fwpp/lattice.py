@@ -4,8 +4,9 @@ All arithmetic is over Python ints, with Fractions only in the dual polygon;
 the degree is summed as an integer numerator over an integer denominator and
 made a Fraction once, at the end. Floats are refused, never truncated.
 Points are plain tuples. A polygon is a tuple of points counterclockwise from
-its lex-min vertex, so equality is tuple equality; fano_vertices reads a bare
-point sequence, in any order, as its convex hull, checked once.
+its lex-min vertex, so equality is tuple equality. fano_vertices reads a bare
+point sequence, in any order, as its convex hull, checked once, into a
+FanoPolygon (of any vertex count), and passes a FanoPolygon through.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import index
@@ -138,12 +138,16 @@ def validate_fano_polygon(vertices) -> None:
             f" {windings} times")
 
 
-@dataclass(frozen=True)
-class FanoTriangle:
-    """A Fano triangle: primitive vertices, origin strictly interior,
-    stored counterclockwise from the lexicographically smallest vertex."""
+class FanoPolygon(tuple):
+    """A checked Fano polygon, of any vertex count: primitive vertices, the
+    origin strictly interior, convex, counterclockwise from the lex-min
+    vertex. It is a tuple of points, so it equals and hashes as one."""
 
-    vertices: tuple[Point, Point, Point]
+    __slots__ = ()
+
+    @property
+    def vertices(self) -> FanoPolygon:
+        return self
 
 
 def canonical_cycle(vertices):
@@ -152,27 +156,27 @@ def canonical_cycle(vertices):
     return tuple(vertices[i:]) + tuple(vertices[:i])
 
 
-def make_fano_triangle(v0, v1, v2) -> FanoTriangle:
-    return FanoTriangle(fano_vertices((v0, v1, v2)))
+def make_fano_triangle(v0, v1, v2) -> FanoPolygon:
+    return fano_vertices((v0, v1, v2))
 
 
 def polygon_vertices(P):
-    """Vertex tuple of a FanoTriangle or a bare vertex sequence, whose
-    coordinates are read with operator.index."""
-    if isinstance(P, FanoTriangle):
-        return P.vertices
+    """A FanoPolygon as it is, or a bare vertex sequence in the order given
+    and unchecked, with its coordinates read by operator.index."""
+    if isinstance(P, FanoPolygon):
+        return P
     return tuple((index(x), index(y)) for x, y in P)
 
 
-def fano_vertices(P):
-    """The vertices of a Fano polygon: a FanoTriangle's as they are, and for
-    a bare sequence of lattice points, in any order and with any points
-    inside, their convex hull, checked by validate_fano_polygon."""
-    if isinstance(P, FanoTriangle):
-        return P.vertices
+def fano_vertices(P) -> FanoPolygon:
+    """P as a FanoPolygon: a FanoPolygon as it is, and a bare sequence of
+    lattice points, in any order and with any points inside, as its convex
+    hull, checked by validate_fano_polygon."""
+    if isinstance(P, FanoPolygon):
+        return P
     vs = convex_hull(polygon_vertices(P))
     validate_fano_polygon(vs)
-    return vs
+    return FanoPolygon(vs)
 
 
 def _rational(x):
@@ -188,8 +192,8 @@ def dual_polygon(P):
     the origin strictly inside; accepts integer or Fraction input, so
     applying it twice recovers the original vertex set.
     """
-    if isinstance(P, FanoTriangle):
-        vs = P.vertices
+    if isinstance(P, FanoPolygon):
+        vs = P
     else:
         vs = _interior_hull([(_rational(x), _rational(y)) for x, y in P])
     duals = []
@@ -213,8 +217,8 @@ def degree(P) -> Fraction:
     normal n = (p1 - q1, q0 - p0) and r = det(p, q) > 0, so the degree is
     the sum of det(n_i, n_(i+1)) / (r_i r_(i+1)) over consecutive edges. It
     is summed over the common denominator prod(r_i), in integers."""
-    if isinstance(P, FanoTriangle):
-        vs = P.vertices
+    if isinstance(P, FanoPolygon):
+        vs = P
     else:
         vs = _interior_hull(polygon_vertices(P))
     edges = list(zip(vs, vs[1:] + vs[:1]))
@@ -314,8 +318,12 @@ def triangle_to_json(P) -> str:
     return json.dumps(polygon_to_obj(P), sort_keys=True)
 
 
-def triangle_from_json(text: str) -> FanoTriangle:
-    vs = polygon_from_obj(json.loads(text))
+def triangle_from_json(text: str) -> FanoPolygon:
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise MalformedPolygon("the document is nested too deeply") from None
+    vs = polygon_from_obj(obj)
     if len(vs) != 3:
         raise ValueError(f"expected 3 vertices, got {len(vs)}")
     return make_fano_triangle(*vs)

@@ -19,7 +19,8 @@ only. The map a mutation induces on the dual polygon is by definition the
 dual of the mutated polygon: apply_dual_map is lattice.dual_polygon of
 mutate_with's output, and the rational arithmetic stays in dual_polygon.
 A polygon is checked once, as its hull, by lattice.fano_vertices; a mutation
-of a Fano polygon is Fano (same reference), so no output is checked again.
+of a Fano polygon is Fano (same reference), so mutate_with returns its output
+as a FanoPolygon, unchecked, and an output fed back is not read again.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from math import gcd
 from operator import index
 
 from .lattice import (
+    FanoPolygon,
     LatticeError,
     Point,
     bezout,
@@ -113,9 +115,9 @@ def find_factors(P, w) -> list[Factor]:
     return [Factor(w=w, f=f, length=length) for length in range(1, l_max + 1)]
 
 
-def mutate_with(P, factor: Factor):
-    """Combinatorial mutation of P by the factor; raises InvalidMutationData
-    when its length is infeasible."""
+def mutate_with(P, factor: Factor) -> FanoPolygon:
+    """Combinatorial mutation of P by the factor, a FanoPolygon; raises
+    InvalidMutationData when its length is infeasible."""
     w, f, length = factor.w, factor.f, factor.length
     vs = fano_vertices(P)
     l_max = _max_length(vs, w)
@@ -139,7 +141,7 @@ def mutate_with(P, factor: Factor):
             points.append((x, y))
         if front:
             points.append((x + h * dx, y + h * dy))
-    return convex_hull(points)
+    return FanoPolygon(convex_hull(points))
 
 
 def apply_dual_map(P, factor: Factor):
@@ -222,6 +224,7 @@ def unimodular_equivalent(A, B) -> bool:
 def enumerate_one_step(P, triangles_only: bool = False):
     """All one-step mutations of P over admissible widths and factors,
     deduplicated up to unimodular equivalence of the outputs."""
+    P = fano_vertices(P)
     seen = {}
     for w in admissible_widths(P):
         for factor in find_factors(P, w):

@@ -212,6 +212,7 @@ class TestMalformedTriangle:
         '{"vertices": [[true, 0], [0, 1], [-1, -1]]}',
         '{"vertices": 5}',
         '[1, 2]',
+        pytest.param("[" * 100000, id="nested-100000-deep"),
     ])
     def test_rejected_with_one_error_line(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

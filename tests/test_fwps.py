@@ -16,7 +16,7 @@ from fwpp.fwps import (
     weights_of,
     wps_triangle,
 )
-from fwpp.lattice import degree, make_fano_triangle
+from fwpp.lattice import NonPrimitiveVertex, degree, make_fano_triangle
 from fwpp.mutation import enumerate_one_step
 
 T35 = make_fano_triangle((10, -7), (-5, 2), (0, 1))
@@ -57,6 +57,21 @@ class TestWeights:
     def test_degree_matches_dual_area(self, corpus):
         for P in corpus[:50]:
             assert weights_of(P).degree == degree(P)
+
+    def test_clockwise_list_read_as_its_hull(self):
+        cw = [(1, 0), (-1, -1), (0, 1)]
+        assert vertex_weights(cw) == ((1, 1, 1), 1)
+        assert weights_of(cw) == weights_of(make_fano_triangle(*cw))
+
+    @pytest.mark.parametrize("call", [vertex_weights, weights_of])
+    def test_non_fano_list_rejected(self, call):
+        with pytest.raises(NonPrimitiveVertex):
+            call([(2, 0), (0, 1), (-1, -1)])
+
+    @pytest.mark.parametrize("call", [vertex_weights, weights_of])
+    def test_quadrilateral_rejected(self, call):
+        with pytest.raises(ValueError, match="^expected 3 vertices, got 4$"):
+            call([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
 
 class TestWellFormed:

@@ -1,14 +1,17 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fwpp import lattice
 from fwpp.diophantine import build_mutation_tree
 from fwpp.fwps import weights_of, wps_triangle
 from fwpp.lattice import (
+    FanoPolygon,
     LatticeError,
     convex_hull,
     degree,
@@ -16,6 +19,8 @@ from fwpp.lattice import (
     dual_polygon,
     make_fano_triangle,
     polygon_vertices,
+    triangle_from_json,
+    triangle_to_json,
     validate_fano_polygon,
 )
 from fwpp.mutation import (
@@ -404,6 +409,62 @@ class TestBareVertexLists:
     def test_non_fano_input_rejected(self, call, vertices):
         with pytest.raises(LatticeError):
             call(vertices)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts of the calls of lattice.validate_fano_polygon and of
+    lattice.convex_hull, the two steps of reading a bare list. mutate_with
+    hulls its output through mutation's own name for convex_hull, which is
+    not counted."""
+    counts = Counter()
+    for name in ("validate_fano_polygon", "convex_hull"):
+        def counted(*args, _real=getattr(lattice, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(lattice, name, counted)
+    return counts
+
+
+class TestFanoPolygon:
+    """A polygon is read once, where it enters. The constructors and
+    mutate_with return a FanoPolygon, which every reader passes through."""
+
+    def test_constructors_and_mutations_return_fano_polygons(self):
+        factor = Factor(w=(0, 1), f=(1, 0), length=1)
+        for P in (make_fano_triangle((1, -1), (-1, 2), (0, -1)),
+                  wps_triangle(1, 1, 4),
+                  triangle_from_json(triangle_to_json(T35)),
+                  mutate_with(P2, factor),
+                  mutate_with(list(P2), factor)):
+            assert type(P) is FanoPolygon
+            assert P.vertices is P
+
+    def test_one_validation_of_a_bare_list_none_of_an_output(self, corpus, reads):
+        for P in corpus:
+            reads.clear()
+            outputs = enumerate_one_step(list(P))
+            assert reads["validate_fano_polygon"] == 1
+            for factor, Q in outputs:
+                reads.clear()
+                enumerate_one_step(Q)
+                assert reads["validate_fano_polygon"] == 0
+                degree(Q)
+                dual_polygon(Q)
+                apply_dual_map(Q, factor.inverse())
+                assert reads["convex_hull"] == 0
+
+    def test_outputs_answer_as_their_bare_tuples(self, corpus):
+        outputs = [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in outputs)
+        for Q in outputs:
+            bare = tuple(map(tuple, Q))
+            assert type(bare) is tuple and bare == Q
+            assert degree(bare) == degree(Q)
+            assert dual_polygon(bare) == dual_polygon(Q)
+            assert enumerate_one_step(bare) == enumerate_one_step(Q)
+            if len(Q) == 3:
+                assert weights_of(bare) == weights_of(Q)
 
 
 @st.composite
