@@ -75,6 +75,7 @@ def square_free_decompose(n: int) -> SquareFreeDecomposition:
     sympy, which is imported here because its import costs more than the
     rest of fwpp.
     """
+    n = index(n)
     if n < 1:
         raise ValueError("n must be positive")
     c = a = 1
@@ -126,13 +127,12 @@ def _derive_direct(lams):
     return eq, solution, derivation
 
 
-def _square_class(lam: int, parts) -> int:
-    """The c among the square-free parts such that lam / c is a square."""
+def _square_class(lam: int, parts) -> tuple[int, int]:
+    """(c, s) with c among the square-free parts and lam = c * s^2."""
     for c in parts:
-        if lam % c == 0:
-            s = isqrt(lam // c)
-            if s * s == lam // c:
-                return c
+        q, r = divmod(lam, c)
+        if not r and (s := isqrt(q)) * s == q:
+            return c, s
     raise AssertionError(f"{lam} has none of the square-free parts {parts}")
 
 
@@ -155,9 +155,9 @@ def derive_equation(weights):
     if not is_well_formed(lams):
         return _derive_direct(lams)
     root_eq, _, derivation = _derive_direct(descend_to_minimal(lams)[-1])
-    c = tuple(_square_class(l, root_eq.c) for l in lams)
+    c, solution = zip(*(_square_class(l, root_eq.c) for l in lams))
     eq = DiophantineEquation(m=root_eq.m, k=root_eq.k, c=c, r=root_eq.r)
-    return eq, tuple(isqrt(l // ci) for l, ci in zip(lams, c)), derivation
+    return eq, solution, derivation
 
 
 def _solution(s) -> tuple[int, int, int]:

@@ -106,41 +106,38 @@ def weights_of(P) -> FwpsInvariants:
     return FwpsInvariants(weights=w, mult=mult, degree=deg)
 
 
-def _normalize_parameter(r: int, c: int) -> int:
-    if r == 1:
-        return 0
+def _normal_form(r: int, c: int) -> QuotientSingularity:
+    """1/r(1, c) for a unit c mod r, with a = the lesser of c and 1/c mod r;
+    r = 1 needs no case, since pow(0, -1, 1) == 0 makes a = 0 (smooth)."""
     c %= r
-    return min(c, pow(c, -1, r))
+    return QuotientSingularity(r=r, a=min(c, pow(c, -1, r)))
 
 
 def quotient_singularity(r: int, a: int, b: int) -> QuotientSingularity:
-    """The type 1/r(a, b), normalized. Requires an isolated singularity:
-    gcd(r, a) = gcd(r, b) = 1 (vacuous for r = 1)."""
+    """The type 1/r(a, b) = 1/r(1, b/a), normalized. Requires an isolated
+    singularity: gcd(r, a) = gcd(r, b) = 1 (vacuous for r = 1)."""
+    r, a, b = index(r), index(a), index(b)
     if r < 1:
         raise ValueError("index r must be positive")
-    if r > 1 and (gcd(a % r, r) != 1 or gcd(b % r, r) != 1):
+    if gcd(a, r) != 1 or gcd(b, r) != 1:
         raise ValueError(
             f"1/{int_to_decimal(r)}({int_to_decimal(a)},{int_to_decimal(b)})"
             " is not isolated")
-    if r == 1:
-        return QuotientSingularity(r=1, a=0)
-    c = (b * pow(a, -1, r)) % r
-    return QuotientSingularity(r=r, a=_normalize_parameter(r, c))
+    return _normal_form(r, b * pow(a, -1, r))
 
 
 def cone_singularity(u, v) -> QuotientSingularity:
     """Singularity type of the two-dimensional cone spanned by the primitive
-    lattice points u and v."""
+    lattice points u and v, from one Bezout pair of u and one inverse."""
     u, v = tuple(u), tuple(v)
     if not (is_primitive(u) and is_primitive(v)):
         raise ValueError("cone generators must be primitive")
     r = abs(det(u, v))
     if r == 0:
         raise DegenerateCone(f"generators {format_ints(u)}, {format_ints(v)} are parallel")
-    # Send u to (1,0); then v = (p, r) and the type is 1/r(-p, 1).
+    # Rows (s, t), (-u1, u0) send u to (1, 0) and v to (p, +-r): 1/r(-p, 1).
     _, s, t = bezout(*u)
-    p = s * v[0] + t * v[1]
-    return quotient_singularity(r, (-p) % r if r > 1 else 1, 1)
+    return _normal_form(r, -(s * v[0] + t * v[1]))
 
 
 def is_T_singularity(s: QuotientSingularity) -> bool:
@@ -188,22 +185,17 @@ def mutate_weights(weights, pivot: int) -> tuple[int, int, int]:
 def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
     """For each pivot where the divisibility condition holds, the mutated
     weight triple and whether the pivot's cone type 1/lp(li, lj) is a
-    T-singularity.
+    T-singularity: the same condition restated, so the flag is always True.
 
     For mult = 1 this decides geometric existence; for mult > 1 it is only
     a necessary condition and a geometric witness is required.
     """
     weights = _well_formed_weights(
         X.weights if isinstance(X, FwpsInvariants) else X)
-    out = []
-    for pivot in range(3):
-        target = _step(weights, pivot)
-        if target is None:
-            continue
-        li, lj = (weights[i] for i in _OTHERS[pivot])
-        t_sing = is_T_singularity(quotient_singularity(weights[pivot], li, lj))
-        out.append((pivot, target, t_sing))
-    return out
+    # 1/lp(li, lj) = 1/lp(1, lj/li) is T iff lp | (1 + lj/li)^2, iff
+    # lp | (li + lj)^2, since li is a unit mod lp: _step's own test.
+    return [(pivot, target, True) for pivot in range(3)
+            if (target := _step(weights, pivot)) is not None]
 
 
 def wps_triangle(l0: int, l1: int, l2: int) -> FanoPolygon:
@@ -214,7 +206,7 @@ def wps_triangle(l0: int, l1: int, l2: int) -> FanoPolygon:
         raise ValueError(f"weights {format_ints(w)} must be positive and well-formed")
     l0, l1, l2 = w
     v1: Point = (1, 0)
-    c = (-l1 * pow(l2, -1, l0)) % l0 if l0 > 1 else 0
+    c = (-l1 * pow(l2, -1, l0)) % l0
     v2: Point = (c, l0)
     v0: Point = (-(l1 + l2 * c) // l0, -l2)
     return make_fano_triangle(v0, v1, v2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 
 from .diophantine import DiophantineEquation, _solution, mutate_solution, verify_solution
 from .fwps import is_well_formed
@@ -57,6 +58,7 @@ def condition_357(a1: int, a2: int):
 
     N = 0 occurs exactly for a1 = a2 = 1 (the zero-discriminant case).
     """
+    a1, a2 = index(a1), index(a2)
     lhs = 5 * a1**2 * (a2**2 - 1) + 7 * a2**2 * (a1**2 - 1)
     if lhs % 3 != 0:
         return None
@@ -69,6 +71,7 @@ def solve_quadratic_357(a1: int, a2: int) -> QuadraticSlice:
     The discriminant is 12 times condition_357's left side: a perfect square
     36 N^2 iff that gives N, and then the roots are 2 a1 a2 -+ N.
     """
+    a1, a2 = index(a1), index(a2)
     disc = 144 * a1**2 * a2**2 - 12 * (5 * a1**2 + 7 * a2**2)
     n = condition_357(a1, a2)
     roots = None if n is None else (2 * a1 * a2 - n, 2 * a1 * a2 + n)

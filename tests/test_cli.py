@@ -405,3 +405,40 @@ def test_pinned_stdout(capsys, monkeypatch, tmp_path, op_id):
         assert out == ""
         out = paths["out"].read_text()
     assert out == (PINNED_DIR / f"{op_id}.txt").read_text()
+
+
+def _readme_cli_examples():
+    """The fwpp command lines of the README's CLI block, split into argv;
+    an optional [--flag] gives one line without the flag and one with it."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if not line.startswith("fwpp "):
+            continue
+        words = line.split()[1:]
+        optional = [w for w in words if w.startswith("[") and w.endswith("]")]
+        plain = [w for w in words if w not in optional]
+        examples.append(plain)
+        if optional:
+            examples.append(plain + [w[1:-1] for w in optional])
+    return examples
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_examples_cover_every_subcommand():
+    commands = {argv[2] if argv[0] == "--format" else argv[0] for argv in README_EXAMPLES}
+    assert commands == {"analyze", "mutate", "enumerate", "weights-mutate", "minimal",
+                        "tree", "diophantine", "tsing", "pell"}
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_example_runs(capsys, p2_file, argv):
+    argv = [p2_file if a == "triangle.json" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.strip()
+    if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+        json.loads(out)

@@ -2,10 +2,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from slice_oracle import egcd
 
+from fwpp.diophantine import build_mutation_tree
 from fwpp.fwps import (
     DegenerateCone,
     NotDivisible,
+    QuotientSingularity,
     cone_singularity,
     is_T_singularity,
     is_well_formed,
@@ -120,12 +124,50 @@ class TestConeSingularity:
         with pytest.raises(DegenerateCone):
             cone_singularity((1, 2), (-1, -2))
 
+    def test_matches_egcd_oracle_on_corpus_edges_and_outputs(self, corpus):
+        for P in corpus:
+            for Q in [P] + [Q for _, Q in enumerate_one_step(P)]:
+                _assert_edges_match_cone_oracle(Q)
+
+    def test_matches_egcd_oracle_at_max_growth_step_14(self, max_growth_branch):
+        P = wps_triangle(*max_growth_branch[14])
+        for Q in [P] + [Q for _, Q in enumerate_one_step(P)]:
+            _assert_edges_match_cone_oracle(Q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.integers(-10**12, 10**12)] * 4)
+    def test_matches_egcd_oracle_on_drawn_cones(self, u0, u1, v0, v1):
+        u, v = (u0, u1), (v0, v1)
+        assume(gcd(u0, u1) == gcd(v0, v1) == 1 and u0 * v1 != u1 * v0)
+        assert cone_singularity(u, v) == _cone_oracle(u, v)
+
     def test_orientation_independent(self):
         a = cone_singularity((10, -7), (-5, 2))
         b = cone_singularity((-5, 2), (10, -7))
         assert a == b
         # equal types compare equal, whichever presentation made them
         assert quotient_singularity(5, 1, 3) == quotient_singularity(5, 3, 1)
+
+
+def _cone_oracle(u, v):
+    """The type of cone(u, v), through the tests' own extended gcd: the
+    unimodular M with rows (s, t), (-u1, u0) sends u to (1, 0) and v to
+    (p, +-r), and cone((1, 0), (p, r)) is 1/r(-p, 1), stored as the lesser
+    of -p and its inverse mod r."""
+    g, s, t = egcd(*u)
+    assert g == 1
+    p, r = s * v[0] + t * v[1], abs(u[0] * v[1] - u[1] * v[0])
+    a = -p % r
+    g, inverse, _ = egcd(a, r)
+    assert g == 1
+    return QuotientSingularity(r=r, a=min(a, inverse % r))
+
+
+def _assert_edges_match_cone_oracle(P):
+    vs = P.vertices
+    for i in range(len(vs)):
+        u, v = vs[i], vs[(i + 1) % len(vs)]
+        assert cone_singularity(u, v) == cone_singularity(v, u) == _cone_oracle(u, v)
 
 
 def _t_oracle(r, a):
@@ -216,3 +258,40 @@ class TestOneStepTargets:
                 for _, Q in enumerate_one_step(T, triangles_only=True)
             }
             assert realized == targets
+
+
+def _assert_mult_one_criterion(w):
+    """The paper's mult = 1 criterion at each pivot of a pairwise coprime
+    triple: lp divides (li + lj)^2 iff 1/lp(li, lj) is a T-singularity, and
+    one_step_targets lists exactly the dividing pivots, each flagged."""
+    w = tuple(sorted(w))
+    expected = []
+    for pivot, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        divides = (w[i] + w[j]) ** 2 % w[pivot] == 0
+        assert divides == is_T_singularity(quotient_singularity(w[pivot], w[i], w[j]))
+        if divides:
+            expected.append((pivot, mutate_weights(w, pivot), True))
+    assert one_step_targets(w) == expected
+
+
+def _with_dividing_pivot(li, lj, k):
+    # a divisor of (li + lj)^2 is prime to li and lj when they are coprime
+    return (li, lj, gcd((li + lj) ** 2, k))
+
+
+coprime_triples = st.one_of(
+    st.tuples(*[st.integers(1, 10**9)] * 3),
+    st.builds(_with_dividing_pivot, *[st.integers(1, 10**9)] * 3),
+).filter(is_well_formed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_triples)
+def test_mult_one_criterion_on_drawn_triples(w):
+    _assert_mult_one_criterion(w)
+
+
+@pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 4, 5)])
+def test_mult_one_criterion_on_tree_nodes(root):
+    for node in build_mutation_tree(root, max_depth=8).nodes:
+        _assert_mult_one_criterion(node.weights)

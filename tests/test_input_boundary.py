@@ -16,6 +16,7 @@ from fwpp.diophantine import (
     derive_equation,
     height,
     mutate_solution,
+    square_free_decompose,
     verify_solution,
 )
 from fwpp.fwps import (
@@ -24,6 +25,7 @@ from fwpp.fwps import (
     cone_singularity,
     is_well_formed,
     mutate_weights,
+    quotient_singularity,
     vertex_weights,
     wps_triangle,
 )
@@ -72,12 +74,22 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: build_mutation_tree((1, 1, 1), max_depth=2.5),
     lambda: build_mutation_tree((1, 1, 1), max_height=30.5),
     lambda: dual_polygon([(0.1, 0), (0, 1), (-1, -1)]),
+    lambda: quotient_singularity(1.0, 1, 1),
+    lambda: quotient_singularity(1, 0.5, 1),
+    lambda: quotient_singularity(Fraction(1), 1, 1),
+    lambda: square_free_decompose(Fraction(8)),
+    lambda: square_free_decompose(Fraction(12)),
+    lambda: pell357.condition_357(Fraction(1), 4),
+    lambda: pell357.solve_quadratic_357(Fraction(1), 4),
 ], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor", "canon_weights",
         "is_well_formed", "wps_triangle", "mutate_weights", "derive_equation",
         "verify_solution", "mutate_solution", "height", "is_solution",
         "component_of", "coprime_implies_well_formed_check", "solution_weights",
         "degree", "canonical_form", "mutate_with", "vertex_weights",
-        "build_mutation_tree-depth", "build_mutation_tree-height", "dual_polygon"])
+        "build_mutation_tree-depth", "build_mutation_tree-height", "dual_polygon",
+        "quotient_singularity-r", "quotient_singularity-a",
+        "quotient_singularity-fraction", "square_free_decompose-8",
+        "square_free_decompose-12", "condition_357", "solve_quadratic_357"])
 def test_non_integers_rejected(call):
     with pytest.raises(TypeError):
         call()
