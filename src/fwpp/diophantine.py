@@ -8,7 +8,7 @@ with DOT/JSON export.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
@@ -142,22 +142,31 @@ def derive_equation(weights):
     The order of the input weights is preserved in the coefficients c_i and
     in the solution, so callers can keep the labelling of their plane.
 
-    Well-formed weights are not factored. The equation is an invariant of
-    the mutation component: the degree is, and a mutation lambda_p ->
-    lambda_p' keeps the square-free part, since lambda_p * lambda_p' =
-    (lambda_i + lambda_j)^2. So m, k, r, the derivation data and the
-    square-free parts come from the minimal weights, and each input weight
-    takes the one part that leaves a square quotient.
+    Of well-formed weights only the minimal weights of the component are
+    factored. The equation is an invariant of the component: the degree is,
+    and a mutation lambda_p -> lambda_p' keeps the square-free part, since
+    lambda_p * lambda_p' = (lambda_i + lambda_j)^2. So the square-free
+    parts c0, c1, c2 come from the minimal weights, and each input weight
+    takes the one part that leaves a square quotient. Well-formed weights
+    are pairwise coprime, so d = 1, r = c0 c1 c2 is square-free (S = T = 1,
+    g = r), and with the minimal weights' height h and square roots a0, a1,
+    a2, m / k = h / (a0 a1 a2) in lowest terms. Weights that are not
+    well-formed are factored as they are, with their height and degree.
     """
     lams = tuple(index(x) for x in weights)
     if len(lams) != 3 or min(lams) < 1:
         raise ValueError(f"need three positive weights, got {format_ints(lams)}")
     if not is_well_formed(lams):
         return _derive_direct(lams)
-    root_eq, _, derivation = _derive_direct(descend_to_minimal(lams)[-1])
-    c, solution = zip(*(_square_class(l, root_eq.c) for l in lams))
-    eq = DiophantineEquation(m=root_eq.m, k=root_eq.k, c=c, r=root_eq.r)
-    return eq, solution, derivation
+    root = descend_to_minimal(lams)[-1]
+    decs = [square_free_decompose(l) for l in root]
+    parts = tuple(dec.c for dec in decs)
+    h, a = sum(root), decs[0].a * decs[1].a * decs[2].a
+    g = gcd(h, a)
+    r = parts[0] * parts[1] * parts[2]
+    c, solution = zip(*(_square_class(l, parts) for l in lams))
+    eq = DiophantineEquation(m=h // g, k=a // g, c=c, r=r)
+    return eq, solution, GeneralDerivation(d=1, S=1, T=1, g=r)
 
 
 def _solution(s) -> tuple[int, int, int]:
@@ -215,13 +224,19 @@ def descend_to_minimal(weights):
 
 @dataclass(slots=True)
 class TreeNode:
+    """One node of a MutationTree. Only what cannot be recomputed is
+    stored: the height is the sum of the weights, and the children of node
+    k are the nodes whose parent is k, in index order."""
+
     weights: tuple[int, int, int]
-    height: int
     depth: int
     parent: int | None = None
     pivot: int | None = None  # pivot in the parent's sorted triple
-    children: list[int] = field(default_factory=list)
     truncated: bool = False
+
+    @property
+    def height(self) -> int:
+        return sum(self.weights)
 
 
 @dataclass
@@ -272,7 +287,8 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     lemma, a non-root node has exactly one height-decreasing neighbour,
     its parent, so the height-increasing search reaches no node twice.
     Pivots of one node that give the same triple, as at (1, 1, b), are
-    merged into one child.
+    merged into one child. Each edge is stored once, as the child's
+    parent index.
     """
     if max_depth is not None:
         max_depth = index(max_depth)
@@ -284,7 +300,7 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     root_h = sum(root_w)
     deg = Fraction(root_h * root_h, root_w[0] * root_w[1] * root_w[2])
     num, den = deg.numerator, deg.denominator
-    nodes = [TreeNode(weights=root_w, height=root_h, depth=0)]
+    nodes = [TreeNode(weights=root_w, depth=0)]
     queue = deque([0])
     while queue:
         idx = queue.popleft()
@@ -294,26 +310,23 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
             continue
         # Pivot p raises the height iff li + lj > lp, i.e. 2 lp < height;
         # the root is well-formed and mutation keeps it so.
-        w, h = node.weights, node.height
+        w = node.weights
+        h = sum(w)
         targets = {}
         for pivot in range(3):
             if 2 * w[pivot] < h and (
                     target := _vieta_step(w, pivot, num, den)) is not None:
                 targets.setdefault(target, pivot)
         for target in sorted(targets):
-            target_h = sum(target)
-            if max_height is not None and target_h > max_height:
+            if max_height is not None and sum(target) > max_height:
                 node.truncated = True
                 continue
-            child = TreeNode(
+            nodes.append(TreeNode(
                 weights=target,
-                height=target_h,
                 depth=node.depth + 1,
                 parent=idx,
                 pivot=targets[target],
-            )
-            nodes.append(child)
-            node.children.append(len(nodes) - 1)
+            ))
             queue.append(len(nodes) - 1)
     return MutationTree(nodes=nodes)
 
@@ -364,6 +377,13 @@ def tree_to_json(tree: MutationTree) -> str:
 
 
 def tree_to_dot(tree: MutationTree) -> str:
+    """The tree as a Graphviz digraph: one labelled vertex per node, then
+    one edge per non-root node, from its parent, in node order.
+
+    Breadth-first numbering gives each node's children consecutive indices
+    and expands parents in index order, so the edges come out grouped by
+    parent, each group in the order the children were found.
+    """
     lines = ["digraph mutations {"]
     for i, n in enumerate(tree.nodes):
         label = (",".join(int_to_decimal(x) for x in n.weights)
@@ -371,7 +391,7 @@ def tree_to_dot(tree: MutationTree) -> str:
         shape = ' style=dashed' if n.truncated else ""
         lines.append(f'  n{i} [label="{label}"{shape}];')
     for i, n in enumerate(tree.nodes):
-        for c in n.children:
-            lines.append(f'  n{i} -> n{c} [label="{tree.nodes[c].pivot}"];')
+        if n.parent is not None:
+            lines.append(f'  n{n.parent} -> n{i} [label="{n.pivot}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -31,7 +31,6 @@ class QuadraticSlice:
 
     a1: int
     a2: int
-    discriminant: int
     roots: tuple[int, int] | None
 
 
@@ -68,14 +67,14 @@ def condition_357(a1: int, a2: int):
 def solve_quadratic_357(a1: int, a2: int) -> QuadraticSlice:
     """Integer roots of 12 x a1 a2 = 3 x^2 + 5 a1^2 + 7 a2^2.
 
-    The discriminant is 12 times condition_357's left side: a perfect square
-    36 N^2 iff that gives N, and then the roots are 2 a1 a2 -+ N.
+    The discriminant 144 a1^2 a2^2 - 12 (5 a1^2 + 7 a2^2) is 12 times
+    condition_357's left side: a perfect square 36 N^2 iff that gives N, and
+    then the roots are 2 a1 a2 -+ N.
     """
     a1, a2 = index(a1), index(a2)
-    disc = 144 * a1**2 * a2**2 - 12 * (5 * a1**2 + 7 * a2**2)
     n = condition_357(a1, a2)
     roots = None if n is None else (2 * a1 * a2 - n, 2 * a1 * a2 + n)
-    return QuadraticSlice(a1=a1, a2=a2, discriminant=disc, roots=roots)
+    return QuadraticSlice(a1=a1, a2=a2, roots=roots)
 
 
 def _pell_family(count, coeff, a_fixed_is_a1, var_seeds, m_seeds, c):

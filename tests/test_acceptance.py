@@ -112,13 +112,17 @@ def test_criterion_3_markov_tree(capsys):
                                if sum(x * x for x in s) <= 3000}
         # structure: root, unique depth-1 child, branching two thereafter
         # (the symmetric pivots of (1,1,4) dedup to a single child)
+        children = [[] for _ in tree.nodes]
+        for i, n in enumerate(tree.nodes):
+            if n.parent is not None:
+                children[n.parent].append(i)
         assert tree.root.weights == (1, 1, 1)
-        assert [tree.nodes[c].weights for c in tree.root.children] == [(1, 1, 4)]
-        for n in tree.nodes:
+        assert [tree.nodes[c].weights for c in children[0]] == [(1, 1, 4)]
+        for n, kids in zip(tree.nodes, children):
             if n.truncated or n.depth == 0:
                 continue
             expected = 1 if n.weights == (1, 1, 4) else 2
-            assert len(n.children) == expected, n
+            assert len(kids) == expected, n
 
     _criterion(capsys, 3, "Markov tree vs oracle", check)
 

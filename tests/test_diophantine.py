@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import example, given, strategies as st
 from sympy import factorint, nextprime
 
@@ -198,6 +199,24 @@ class TestDeriveFromMinimalRoot:
         assert verify_solution(eq, sol)
         assert tuple(x * x for x in sol) == w
 
+    def test_only_the_minimal_weights_are_factored(self, monkeypatch):
+        # n is prime and minimal in its component, while n + 2 is a product
+        # of two 62-bit primes, so factoring the degree's numerator
+        # (n + 2)^2 would take seconds.
+        n = 23635686069381106878371147206481833619
+        root = descend_to_minimal((1, 1, n))[-1]
+        factored = []
+
+        def spy(m, *args, **kwargs):
+            assert any(l % m == 0 for l in root), f"factorint({m})"
+            factored.append(m)
+            return factorint(m, *args, **kwargs)
+
+        monkeypatch.setattr(sympy, "factorint", spy)
+        assert derived((1, 1, n)) == ((n + 2, 1, (1, 1, n), n), (1, 1, 1),
+                                      (1, 1, 1, n))
+        assert factored == [n]
+
 
 class TestSolutions:
     def test_verify(self):
@@ -306,7 +325,7 @@ class TestMutationTree:
 
     def test_json_of_weights_past_the_digit_limit(self, max_growth_branch):
         w = max_growth_branch[-1]
-        tree = MutationTree([TreeNode(weights=w, height=sum(w), depth=0)])
+        tree = MutationTree([TreeNode(weights=w, depth=0)])
         node = json.loads(tree_to_json(tree))["nodes"][0]
         assert [decimal_to_int(x) for x in node["weights"]] == list(w)
         assert decimal_to_int(node["height"]) == sum(w)

@@ -10,6 +10,7 @@ json.dumps.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -52,11 +53,13 @@ def descent_oracle(weights):
         path.append(down.pop())
 
 
-def tree_oracle(weights, max_depth=None, max_height=None) -> MutationTree:
+def tree_oracle(weights, max_depth=None, max_height=None):
     """Breadth-first tree that mutates every node at every pivot and keeps
-    the height-increasing targets, in sorted order, first pivot winning."""
+    the height-increasing targets, in sorted order, first pivot winning.
+    Returns the tree and its own map from each node to its children."""
     root_w = descent_oracle(weights)[-1]
-    nodes = [TreeNode(weights=root_w, height=height(root_w), depth=0)]
+    nodes = [TreeNode(weights=root_w, depth=0)]
+    children = [[]]
     seen = {root_w}
     queue = deque([0])
     while queue:
@@ -80,12 +83,12 @@ def tree_oracle(weights, max_depth=None, max_height=None) -> MutationTree:
                 node.truncated = True
                 continue
             seen.add(target)
-            nodes.append(TreeNode(weights=target, height=height(target),
-                                  depth=node.depth + 1, parent=idx,
-                                  pivot=targets[target]))
-            node.children.append(len(nodes) - 1)
+            nodes.append(TreeNode(weights=target, depth=node.depth + 1,
+                                  parent=idx, pivot=targets[target]))
+            children.append([])
+            children[idx].append(len(nodes) - 1)
             queue.append(len(nodes) - 1)
-    return MutationTree(nodes=nodes)
+    return MutationTree(nodes=nodes), children
 
 
 def tree_obj_oracle(tree) -> dict:
@@ -102,6 +105,19 @@ def json_oracle(tree) -> str:
     return json.dumps(tree_obj_oracle(tree), sort_keys=True, indent=2)
 
 
+def dot_oracle(tree, children) -> str:
+    """The Graphviz text of the tree, edges walked parent by parent through
+    the children map."""
+    lines = ["digraph mutations {"]
+    for i, n in enumerate(tree.nodes):
+        label = ",".join(map(str, n.weights)) + f" (h={height(n.weights)})"
+        style = " style=dashed" if n.truncated else ""
+        lines.append(f'  n{i} [label="{label}"{style}];')
+    for i, kids in enumerate(children):
+        lines += [f'  n{i} -> n{c} [label="{tree.nodes[c].pivot}"];' for c in kids]
+    return "\n".join(lines + ["}"])
+
+
 def cli_json_oracle(tree) -> str:
     """What `fwpp tree` printed: every int, depth and parent too, quoted."""
     return json.dumps(_jsonable(tree_obj_oracle(tree)), sort_keys=True,
@@ -110,10 +126,11 @@ def cli_json_oracle(tree) -> str:
 
 def assert_tree_matches(root, **bounds):
     tree = build_mutation_tree(root, **bounds)
-    oracle = tree_oracle(root, **bounds)
+    oracle, children = tree_oracle(root, **bounds)
     assert tree.nodes == oracle.nodes
     assert len(tree.weight_set()) == len(tree.nodes)
     assert tree_to_json(tree) == json_oracle(oracle)
+    assert tree_to_dot(tree) == dot_oracle(oracle, children)
 
 
 # Degrees 9, 8, 6, 15/7, 10/3, 16/3, 48/35, 361/165: the last five make
@@ -179,12 +196,20 @@ def test_tree_rejects_bad_input():
         build_mutation_tree((1, 1, 1))
 
 
+def test_tree_node_stores_only_what_cannot_be_recomputed():
+    assert [f.name for f in dataclasses.fields(TreeNode)] == [
+        "weights", "depth", "parent", "pivot", "truncated"]
+    node = TreeNode(weights=(1, 1, 4), depth=1, parent=0, pivot=2)
+    assert node.height == 6
+    with pytest.raises(AttributeError):
+        node.height = 7
+
+
 def branch_tree(branch):
     """The max-growth branch as a path-shaped tree, last node truncated."""
     return MutationTree(nodes=[
-        TreeNode(weights=w, height=sum(w), depth=i, parent=i - 1 if i else None,
-                 pivot=0 if i else None, children=[i + 1] if i + 1 < len(branch) else [],
-                 truncated=i == len(branch) - 1)
+        TreeNode(weights=w, depth=i, parent=i - 1 if i else None,
+                 pivot=0 if i else None, truncated=i == len(branch) - 1)
         for i, w in enumerate(branch)])
 
 
@@ -229,7 +254,7 @@ def run_cli(argv):
 ])
 def test_cli_tree_matches_oracle(root, depth, max_height, tmp_path):
     expected = cli_json_oracle(tree_oracle(root, max_depth=depth,
-                                           max_height=max_height))
+                                           max_height=max_height)[0])
     argv = ["tree", *map(str, root)]
     if depth is not None:
         argv += ["--depth", str(depth)]
@@ -246,7 +271,7 @@ def test_cli_tree_matches_oracle(root, depth, max_height, tmp_path):
 def test_descent_matches_oracle_on_tree_nodes():
     rng = random.Random(4)
     for root in ROOTS:
-        for node in tree_oracle(root, max_depth=7).nodes:
+        for node in tree_oracle(root, max_depth=7)[0].nodes:
             w = tuple(rng.sample(node.weights, 3))
             assert descend_to_minimal(w) == descent_oracle(w), w
 
