@@ -17,7 +17,6 @@ from .lattice import (
     triangle_to_json,
 )
 from .mutation import (
-    DegeneratePolygon,
     Factor,
     InvalidFactor,
     InvalidMutationData,

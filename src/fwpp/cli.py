@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         if args.format == "dot" and args.command != "tree":
             raise ValueError("dot output is only available for 'tree'")
         return args.func(args)
-    except (lattice.LatticeError, ValueError, OSError, KeyError) as exc:
+    except (lattice.LatticeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -292,8 +292,12 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     """
     if max_depth is not None:
         max_depth = index(max_depth)
+        if max_depth < 0:
+            raise ValueError(f"max_depth {format_ints(max_depth)} is negative")
     if max_height is not None:
         max_height = index(max_height)
+        if max_height < 0:
+            raise ValueError(f"max_height {format_ints(max_height)} is negative")
     if max_depth is None and max_height is None:
         raise ValueError("need max_depth and/or max_height")
     root_w = descend_to_minimal(weights)[-1]

@@ -136,7 +136,7 @@ def cone_singularity(u, v) -> QuotientSingularity:
     if r == 0:
         raise DegenerateCone(f"generators {format_ints(u)}, {format_ints(v)} are parallel")
     # Rows (s, t), (-u1, u0) send u to (1, 0) and v to (p, +-r): 1/r(-p, 1).
-    _, s, t = bezout(*u)
+    s, t = bezout(*u)
     return _normal_form(r, -(s * v[0] + t * v[1]))
 
 

@@ -6,7 +6,10 @@ made a Fraction once, at the end. Floats are refused, never truncated.
 Points are plain tuples. A polygon is a tuple of points counterclockwise from
 its lex-min vertex, so equality is tuple equality. fano_vertices reads a bare
 point sequence, in any order, as its convex hull, checked once, into a
-FanoPolygon (of any vertex count), and passes a FanoPolygon through.
+FanoPolygon (of any vertex count), and passes a FanoPolygon through. degree
+reads its polygon that way, and bezout takes a primitive point; only
+dual_polygon accepts non-primitive and rational input, so that the dual of a
+dual works.
 """
 
 from __future__ import annotations
@@ -53,15 +56,13 @@ def is_primitive(p) -> bool:
     return (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
 
 
-def bezout(x: int, y: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*x + t*y = g = gcd(x, y), for (x, y) != (0, 0).
-    The inverse comes from pow, in C, whatever the size of x and y."""
-    g = gcd(x, y)
-    a, b = x // g, y // g
-    if b == 0:
-        return g, a, 0
-    s = pow(a, -1, abs(b))
-    return g, s, (1 - s * a) // b
+def bezout(x: int, y: int) -> tuple[int, int]:
+    """(s, t) with s*x + t*y = 1, for a primitive (x, y). The inverse
+    comes from pow, in C, whatever the size of x and y."""
+    if y == 0:
+        return x, 0
+    s = pow(x, -1, abs(y))
+    return s, (1 - s * x) // y
 
 
 def _cross(o, a, b):
@@ -102,14 +103,6 @@ def _check_origin_interior(vertices) -> None:
             raise OriginNotInterior(
                 f"origin not strictly interior (edge {format_ints(p)} -> {format_ints(q)})"
             )
-
-
-def _interior_hull(points):
-    """The counterclockwise convex hull of the points, which must hold the
-    origin strictly inside."""
-    hull = convex_hull(points)
-    _check_origin_interior(hull)
-    return hull
 
 
 def validate_fano_polygon(vertices) -> None:
@@ -195,7 +188,8 @@ def dual_polygon(P):
     if isinstance(P, FanoPolygon):
         vs = P
     else:
-        vs = _interior_hull([(_rational(x), _rational(y)) for x, y in P])
+        vs = convex_hull([(_rational(x), _rational(y)) for x, y in P])
+        _check_origin_interior(vs)
     duals = []
     for p, q in zip(vs, vs[1:] + vs[:1]):
         d = Fraction(det(p, q))
@@ -210,17 +204,15 @@ def pairing(w, v):
 
 
 def degree(P) -> Fraction:
-    """Anticanonical degree of the spanning-fan toric surface: twice the
-    Euclidean area of the dual polygon, as an exact rational.
+    """Anticanonical degree of the toric surface of the Fano polygon P,
+    read by fano_vertices: twice the Euclidean area of the dual polygon,
+    as an exact rational.
 
-    The dual vertex of the hull edge p -> q is n / r, with the integer
-    normal n = (p1 - q1, q0 - p0) and r = det(p, q) > 0, so the degree is
-    the sum of det(n_i, n_(i+1)) / (r_i r_(i+1)) over consecutive edges. It
-    is summed over the common denominator prod(r_i), in integers."""
-    if isinstance(P, FanoPolygon):
-        vs = P
-    else:
-        vs = _interior_hull(polygon_vertices(P))
+    The dual vertex of the edge p -> q is n / r, with the integer normal
+    n = (p1 - q1, q0 - p0) and r = det(p, q) > 0, so the degree is the sum
+    of det(n_i, n_(i+1)) / (r_i r_(i+1)) over consecutive edges. It is
+    summed over the common denominator prod(r_i), in integers."""
+    vs = fano_vertices(P)
     edges = list(zip(vs, vs[1:] + vs[:1]))
     ns = [(p[1] - q[1], q[0] - p[0]) for p, q in edges]
     rs = [det(p, q) for p, q in edges]

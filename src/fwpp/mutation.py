@@ -21,6 +21,8 @@ mutate_with's output, and the rational arithmetic stays in dual_polygon.
 A polygon is checked once, as its hull, by lattice.fano_vertices; a mutation
 of a Fano polygon is Fano (same reference), so mutate_with returns its output
 as a FanoPolygon, unchecked, and an output fed back is not read again.
+Unimodular equivalence is asked only of Fano polygons, so canonical_form and
+unimodular_equivalent read their input by fano_vertices as well.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .lattice import (
     format_ints,
     is_primitive,
     pairing,
-    polygon_vertices,
 )
 
 
@@ -52,10 +53,6 @@ class InvalidMutationData(LatticeError):
 
 class InvalidFactor(LatticeError):
     pass
-
-
-class DegeneratePolygon(LatticeError):
-    """Vertices that do not span the plane, so no canonical form exists."""
 
 
 @dataclass(frozen=True)
@@ -153,72 +150,55 @@ def apply_dual_map(P, factor: Factor):
 
 # --- unimodular equivalence -------------------------------------------------
 
-def canonical_form(vertices):
-    """Canonical form of a polygon up to unimodular equivalence: the least
-    left Hermite normal form of the vertex columns over all cyclic
-    rotations and both orientations. From v0 = g*(a, b), with s*a + t*b = 1,
-    column (x, y) goes to (c, d) = (s*x + t*y, a*y - b*x); d is negated if
-    its first nonzero value is negative, and c reduced by q = c // d there.
-    Any Bezout pair gives the same form, so one per vertex serves both
-    orientations.
+def canonical_form(P):
+    """Canonical form of a Fano polygon up to unimodular equivalence: the
+    least left Hermite normal form of the vertex columns over all cyclic
+    rotations and both orientations. P is read by fano_vertices, so every
+    vertex is primitive and neighbours span cones of index d > 0. From
+    v0 = (a, b), with s*a + t*b = 1, column (x, y) goes to
+    (c, d) = (s*x + t*y, a*y - b*x). The next vertex has d > 0 walking
+    counterclockwise and d < 0 walking back, so (a, b) is negated on the
+    way back, and c is reduced by q = c // d at the next vertex. Any Bezout
+    pair gives the same form, so one per vertex serves both orientations.
 
     Each candidate is screened before it is built. Its first column is
-    (g, 0), or (0, 0) when zero vertices rotate to the front, and its
-    second is the next column, reduced to (c mod |d|, |d|) when d != 0 and
-    left as (c, 0) when d = 0. Only the candidates whose two-column key is
+    (1, 0), and its second is the next vertex reduced to (c mod d, d),
+    with d the index of the edge cone. Only the candidates whose key is
     least are built in full: a larger prefix is never the least tuple."""
-    vs = polygon_vertices(vertices)
+    vs = fano_vertices(P)
     k = len(vs)
-    zeros = (0, 0) in vs
     least, winners = None, []
-    for i, (x0, y0) in enumerate(vs):
-        if (x0, y0) == (0, 0):
-            continue
-        g, s, t = bezout(x0, y0)
-        a, b = x0 // g, y0 // g
+    for i, (a, b) in enumerate(vs):
+        s, t = bezout(a, b)
         for step in (1, -1):
-            # rotations from the zero vertices just before v0 share its
-            # columns, and the one with the most leading zeros is least
-            start = i
-            while zeros and vs[(start - step) % k] == (0, 0):
-                start -= step
-            x, y = vs[(start + step) % k]
-            c, d = s * x + t * y, abs(a * y - b * x)
-            # the candidate's first two columns, flattened
-            key = (g if start == i else 0, 0, c % d if d else c, d)
+            x, y = vs[(i + step) % k]
+            d = abs(a * y - b * x)
+            key = ((s * x + t * y) % d, d)
             if least is None or key < least:
-                least, winners = key, [(start % k, step, s, t, a, b)]
+                least, winners = key, [(i, step, s, t)]
             elif key == least:
-                winners.append((start % k, step, s, t, a, b))
+                winners.append((i, step, s, t))
     best = None
-    for start, step, s, t, a, b in winners:
-        seq = (vs[start:] + vs[:start] if step == 1
-               else vs[start::-1] + vs[:start:-1])
-        # the first column off the line of v0 fixes the sign of d and q,
-        # which fold into the row operation (s, t), (a, b)
-        for x, y in seq:
-            d1 = a * y - b * x
-            if d1:
-                break
+    for i, step, s, t in winners:
+        a, b = vs[i]
+        if step == 1:
+            seq = vs[i:] + vs[:i]
         else:
-            break  # every vertex is a multiple of (a, b)
-        if d1 < 0:
-            a, b, d1 = -a, -b, -d1
-        q = (s * x + t * y) // d1
+            seq = vs[i::-1] + vs[:i:-1]
+            a, b = -a, -b
+        x, y = seq[1]
+        q = (s * x + t * y) // (a * y - b * x)
         s, t = s + q * b, t - q * a
         cand = tuple([(s * x + t * y, a * y - b * x) for x, y in seq])
         if best is None or cand < best:
             best = cand
-    if best is None:
-        raise DegeneratePolygon(
-            f"vertices {format_ints(vs)} do not span the plane")
     return best
 
 
 def unimodular_equivalent(A, B) -> bool:
-    """True iff the convex hulls of A and B are unimodularly equivalent."""
-    return (canonical_form(convex_hull(polygon_vertices(A)))
-            == canonical_form(convex_hull(polygon_vertices(B))))
+    """True iff the Fano polygons A and B (their hulls, if bare lists) are
+    unimodularly equivalent; raises if either is not a Fano polygon."""
+    return canonical_form(A) == canonical_form(B)
 
 
 def enumerate_one_step(P, triangles_only: bool = False):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fwpp.fwps import wps_triangle
 from fwpp.lattice import (
@@ -67,18 +67,29 @@ class TestPrimitivity:
         assert not is_primitive((0, 0))
 
 
+# coordinates up to 10^40, and above 2^6000 of either sign
+_BEZOUT_COORDINATE = st.one_of(st.integers(-10**40, 10**40),
+                               st.integers(2**6000, 2**6100),
+                               st.integers(-2**6100, -2**6000))
+
+
 class TestBezout:
-    @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+    @given(_BEZOUT_COORDINATE, _BEZOUT_COORDINATE)
     def test_bezout_identity(self, x, y):
-        if (x, y) == (0, 0):
-            return
-        g, s, t = bezout(x, y)
-        assert g == gcd(x, y)
-        assert s * x + t * y == g
+        assume((x, y) != (0, 0))
+        g = gcd(x, y)
+        x, y = x // g, y // g
+        s, t = bezout(x, y)
+        assert s * x + t * y == 1
 
     def test_axes(self):
-        assert bezout(0, -3) == (3, 0, -1)
-        assert bezout(-5, 0) == (5, -1, 0)
+        assert bezout(0, -1) == (0, -1)
+        assert bezout(-1, 0) == (-1, 0)
+        for unit in (1, -1):
+            for big in (10**40, -10**40):
+                for x, y in ((unit, big), (big, unit)):
+                    s, t = bezout(x, y)
+                    assert s * x + t * y == 1
 
 
 class TestConstruction:
@@ -236,12 +247,13 @@ class TestDegree:
             assert degree(vs) == want
             assert degree(vs[::-1]) == want
 
-    def test_non_primitive_vertices_accepted(self):
-        assert degree([(2, 0), (0, 1), (-1, -1)]) == Fraction(25, 4)
+    def test_non_primitive_vertices_rejected(self):
         for vs in ([(2, 0), (0, 1), (-1, -1)], [(2, 0), (0, 3), (-1, -1)],
-                   [(6, -4), (-3, 5), (-9, -3)]):
-            assert degree(vs) == _degree_oracle(vs)
-            assert degree(vs[::-1]) == _degree_oracle(vs[::-1])
+                   [(6, -4), (-3, 5), (-9, -3)], [(1, 0), (-1, 0), (2, 0)]):
+            with pytest.raises(NonPrimitiveVertex):
+                degree(vs)
+            with pytest.raises(NonPrimitiveVertex):
+                degree(vs[::-1])
 
     def test_matches_dual_area_oracle_at_max_growth_step_14(self, max_growth_branch):
         P = wps_triangle(*max_growth_branch[14])
@@ -259,7 +271,7 @@ class TestDegree:
             degree(vertices)
 
     def test_degenerate_hull_rejected(self):
-        for vertices in ([], [(1, 0)], [(1, 0), (-1, 0), (2, 0)]):
+        for vertices in ([], [(1, 0)], [(1, 0), (-1, 0)]):
             with pytest.raises(OriginNotInterior):
                 degree(vertices)
 

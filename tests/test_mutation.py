@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwpp import lattice
 from fwpp.diophantine import build_mutation_tree
@@ -13,10 +13,12 @@ from fwpp.fwps import weights_of, wps_triangle
 from fwpp.lattice import (
     FanoPolygon,
     LatticeError,
+    NonPrimitiveVertex,
+    OriginNotInterior,
     convex_hull,
     degree,
-    det,
     dual_polygon,
+    fano_vertices,
     make_fano_triangle,
     polygon_vertices,
     triangle_from_json,
@@ -24,7 +26,6 @@ from fwpp.lattice import (
     validate_fano_polygon,
 )
 from fwpp.mutation import (
-    DegeneratePolygon,
     Factor,
     InvalidFactor,
     InvalidMutationData,
@@ -515,12 +516,13 @@ class TestCanonicalForm:
         _assert_canonical_forms_match(polygons)
 
     def test_matches_hnf_oracle_on_special_vertices(self):
-        _assert_canonical_forms_match([
+        for vertices in (
             ((2, 0), (0, 1), (-1, -1)),          # non-primitive vertex
             ((6, -4), (-3, 5), (0, 1), (-9, -3)),
             ((0, 0), (2, 1), (1, 3)),            # the origin as a vertex
             ((0, 0), (0, 0), (3, 1), (0, 0), (1, 2)),
-        ])
+        ):
+            _assert_refused_as_by_fano_vertices(vertices, NonPrimitiveVertex)
 
     def test_matches_hnf_oracle_at_max_growth_step_14(self, max_growth_branch):
         P = wps_triangle(*max_growth_branch[14])
@@ -540,8 +542,13 @@ class TestCanonicalForm:
     @settings(max_examples=400, deadline=None)
     @given(_special_vertex_lists())
     def test_matches_hnf_oracle_on_special_vertex_lists(self, vs):
-        assume(any(det(u, v) for u in vs for v in vs))
-        _assert_canonical_forms_match([vs])
+        try:
+            hull = fano_vertices(vs)
+        except LatticeError as exc:
+            _assert_refused_as_by_fano_vertices(vs, type(exc))
+        else:
+            assert canonical_form(vs) == _canonical_oracle(hull)
+            assert canonical_form(vs[::-1]) == _canonical_oracle(hull)
 
     @pytest.mark.parametrize("vertices", [
         [(0, 0), (0, 0), (0, 0)],
@@ -550,9 +557,58 @@ class TestCanonicalForm:
         [],
     ])
     def test_degenerate_rejected(self, vertices):
-        assert issubclass(DegeneratePolygon, LatticeError)
-        with pytest.raises(DegeneratePolygon, match="do not span the plane"):
-            canonical_form(vertices)
+        # the primitivity check comes first, and only [] has no vertex
+        error = NonPrimitiveVertex if vertices else OriginNotInterior
+        _assert_refused_as_by_fano_vertices(vertices, error)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_invariant_under_big_unimodular_maps(self, corpus_with_outputs, data):
+        """An image under a product of shears with |k| <= 10^30, flipped
+        or not, has the same canonical form. A flip reverses the
+        orientation, so the form is then read walking back."""
+        P = data.draw(st.sampled_from(corpus_with_outputs))
+        U = data.draw(_unimodular_matrices())
+        image = fano_vertices([apply_matrix(U, v) for v in P])
+        assert canonical_form(image) == canonical_form(P)
+        assert unimodular_equivalent(P, image)
+        assert unimodular_equivalent(list(image)[::-1], P)
+
+
+@pytest.fixture(scope="module")
+def corpus_with_outputs(corpus):
+    """The first 60 corpus triangles and their one-step outputs, among
+    them quadrilaterals."""
+    polygons = list(corpus[:60])
+    polygons += [Q for P in corpus[:60] for _, Q in enumerate_one_step(P)]
+    assert any(len(Q) == 4 for Q in polygons)
+    return polygons
+
+
+@st.composite
+def _unimodular_matrices(draw):
+    """A product of one to four shears [[1, k], [0, 1]] and [[1, 0], [k, 1]]
+    with |k| <= 10^30, times the flip [[0, 1], [1, 0]] (det -1) or not."""
+    U = ((1, 0), (0, 1))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(-10**30, 10**30))
+        S = ((1, k), (0, 1)) if draw(st.booleans()) else ((1, 0), (k, 1))
+        U = tuple(apply_matrix(S, col) for col in zip(*U))
+        U = tuple(zip(*U))
+    if draw(st.booleans()):
+        U = (U[1], U[0])
+    return U
+
+
+def _assert_refused_as_by_fano_vertices(vertices, error):
+    """canonical_form refuses a list that is not a Fano polygon with the
+    class fano_vertices raises, in both orders."""
+    with pytest.raises(error):
+        fano_vertices(vertices)
+    for vs in (vertices, vertices[::-1]):
+        with pytest.raises(LatticeError) as info:
+            canonical_form(vs)
+        assert type(info.value) is error
 
 
 def _assert_canonical_forms_match(polygons):

@@ -194,6 +194,10 @@ def test_tree_rejects_bad_input():
         build_mutation_tree((2, 4, 7), max_depth=2)
     with pytest.raises(ValueError, match="need max_depth"):
         build_mutation_tree((1, 1, 1))
+    with pytest.raises(ValueError, match="max_depth -1 is negative"):
+        build_mutation_tree((1, 1, 1), max_depth=-1)
+    with pytest.raises(ValueError, match="max_height -5 is negative"):
+        build_mutation_tree((1, 1, 1), max_height=-5)
 
 
 def test_tree_node_stores_only_what_cannot_be_recomputed():
