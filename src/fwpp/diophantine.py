@@ -288,7 +288,8 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     its parent, so the height-increasing search reaches no node twice.
     Pivots of one node that give the same triple, as at (1, 1, b), are
     merged into one child. Each edge is stored once, as the child's
-    parent index.
+    parent index. A max_height below the height of the root raises
+    ValueError, so that no node exceeds the bound.
     """
     if max_depth is not None:
         max_depth = index(max_depth)
@@ -302,6 +303,10 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
         raise ValueError("need max_depth and/or max_height")
     root_w = descend_to_minimal(weights)[-1]
     root_h = sum(root_w)
+    if max_height is not None and max_height < root_h:
+        raise ValueError(f"max_height {format_ints(max_height)} is below the"
+                         f" height {format_ints(root_h)} of the minimal"
+                         f" weights {format_ints(root_w)}")
     deg = Fraction(root_h * root_h, root_w[0] * root_w[1] * root_w[2])
     num, den = deg.numerator, deg.denominator
     nodes = [TreeNode(weights=root_w, depth=0)]

@@ -6,10 +6,10 @@ made a Fraction once, at the end. Floats are refused, never truncated.
 Points are plain tuples. A polygon is a tuple of points counterclockwise from
 its lex-min vertex, so equality is tuple equality. fano_vertices reads a bare
 point sequence, in any order, as its convex hull, checked once, into a
-FanoPolygon (of any vertex count), and passes a FanoPolygon through. degree
-reads its polygon that way, and bezout takes a primitive point; only
-dual_polygon accepts non-primitive and rational input, so that the dual of a
-dual works.
+FanoPolygon (of any vertex count), and passes a FanoPolygon through. edges
+and degree read their polygon that way, and bezout takes a primitive point;
+only dual_polygon accepts non-primitive and rational input, so that the dual
+of a dual works.
 """
 
 from __future__ import annotations
@@ -203,22 +203,31 @@ def pairing(w, v):
     return w[0] * v[0] + w[1] * v[1]
 
 
+def edges(P):
+    """(w, h, L) for each edge p -> q of the Fano polygon P, read by
+    fano_vertices, counterclockwise: the primitive inner normal w, the
+    height h = det(p, q) / L > 0, so w(p) = w(q) = -h, and the lattice
+    length L. The edge cone holds L // h primitive T-singularities."""
+    vs = fano_vertices(P)
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        a, b = p[1] - q[1], q[0] - p[0]
+        L = gcd(a, b)
+        yield (a // L, b // L), det(p, q) // L, L
+
+
 def degree(P) -> Fraction:
     """Anticanonical degree of the toric surface of the Fano polygon P,
     read by fano_vertices: twice the Euclidean area of the dual polygon,
     as an exact rational.
 
-    The dual vertex of the edge p -> q is n / r, with the integer normal
-    n = (p1 - q1, q0 - p0) and r = det(p, q) > 0, so the degree is the sum
-    of det(n_i, n_(i+1)) / (r_i r_(i+1)) over consecutive edges. It is
-    summed over the common denominator prod(r_i), in integers."""
-    vs = fano_vertices(P)
-    edges = list(zip(vs, vs[1:] + vs[:1]))
-    ns = [(p[1] - q[1], q[0] - p[0]) for p, q in edges]
-    rs = [det(p, q) for p, q in edges]
-    den = prod(rs)
-    num = sum(det(ns[i - 1], ns[i]) * (den // (rs[i - 1] * rs[i]))
-              for i in range(len(vs)))
+    The dual vertex of an edge is w / h, from its row (w, h, L) of edges,
+    so the degree is the sum of det(w_(i-1), w_i) / (h_(i-1) h_i) over
+    consecutive edges. It is summed over the common denominator prod(h_i),
+    in integers."""
+    ws, hs, _ = zip(*edges(P))
+    den = prod(hs)
+    num = sum(det(ws[i - 1], ws[i]) * (den // (hs[i - 1] * hs[i]))
+              for i in range(len(ws)))
     return Fraction(num, den)
 
 

@@ -9,9 +9,9 @@ moves the chain in front of f by v -> v + l*w(v)*f:
 
     mut(P) = conv(chain behind f  +  shear(chain in front of f)).
 
-This costs O(k) in the number of vertices, whatever the height range. An
-edge p -> q of lattice length L and cone index r = det(p, q) at the lowest
-height h_min = -r/L admits the lengths l <= L // (r/L). The factor -f is a
+This costs O(k) in the number of vertices, whatever the height range. The
+inner normal w of an edge of lattice length L at height h (lattice.edges)
+admits the lengths l <= L // h, and any other width none. The factor -f is a
 translate of +f by a vector at height zero, so it gives a unimodularly
 equivalent polygon; factor discovery returns f = (w1, -w0) only. The
 widths are the integer edge normals, so this module works in integers
@@ -28,7 +28,6 @@ unimodular_equivalent read their input by fano_vertices as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import index
 
 from .lattice import (
@@ -39,7 +38,7 @@ from .lattice import (
     convex_hull,
     det,
     dual_polygon,
-    edge_lattice_length,
+    edges,
     fano_vertices,
     format_ints,
     is_primitive,
@@ -81,25 +80,15 @@ class Factor:
 def admissible_widths(P):
     """The primitive inner edge normals of P, sorted: exactly the widths
     admitting a nontrivial factor in 2D."""
-    vs = fano_vertices(P)
-    widths = []
-    for p, q in zip(vs, vs[1:] + vs[:1]):
-        a, b = p[1] - q[1], q[0] - p[0]
-        g = gcd(a, b)
-        widths.append((a // g, b // g))
-    return sorted(widths)
+    return sorted(w for w, _, _ in edges(P))
 
 
-def _max_length(vs, w) -> int:
-    """The largest feasible factor length for the width w: the lattice
-    length of the edge at the lowest height h_min < 0, floor-divided by
-    -h_min; 0 when a single vertex sits there or h_min >= 0."""
-    hs = [pairing(w, v) for v in vs]
-    h_min = min(hs)
-    bottom = [v for v, h in zip(vs, hs) if h == h_min]
-    if h_min >= 0 or len(bottom) == 1:
-        return 0
-    return edge_lattice_length(*bottom) // -h_min
+def _max_length(P, w) -> int:
+    """The largest feasible factor length for the width w: L // h for the
+    edge of lattice length L at height h whose inner normal is w, and 0
+    when w is the normal of no edge."""
+    w = tuple(w)
+    return next((L // h for u, h, L in edges(P) if u == w), 0)
 
 
 def find_factors(P, w) -> list[Factor]:
@@ -108,7 +97,7 @@ def find_factors(P, w) -> list[Factor]:
     if not is_primitive(w):
         raise ValueError(f"width vector {format_ints(w)} must be primitive")
     f = (w[1], -w[0])
-    l_max = _max_length(fano_vertices(P), w)
+    l_max = _max_length(P, w)
     return [Factor(w=w, f=f, length=length) for length in range(1, l_max + 1)]
 
 

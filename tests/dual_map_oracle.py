@@ -4,20 +4,35 @@ computed on the dual itself, the way fwpp's apply_dual_map once did.
 fwpp now takes the dual of the mutated polygon instead. This map stays as
 the reference it is checked against: the dual vertices with u(f) >= 0 are
 fixed, those with u(f) < 0 move by u -> u - l*u(f)*w, and each dual edge
-crossing u(f) = 0 is split there first, in exact Fractions.
+crossing u(f) = 0 is split there first, in exact Fractions. Its bound on
+the factor length is its own: a scan of the vertex heights for the bottom
+edge, not fwpp's edge table.
 """
 
 from fractions import Fraction
 
-from fwpp.lattice import convex_hull, dual_polygon, format_ints, pairing, polygon_vertices
-from fwpp.mutation import InvalidFactor, _max_length
+from fwpp.lattice import (convex_hull, dual_polygon, edge_lattice_length,
+                          format_ints, pairing, polygon_vertices)
+from fwpp.mutation import InvalidFactor
+
+
+def max_length(vs, w) -> int:
+    """The largest feasible factor length for the width w: the lattice
+    length of the edge at the lowest height h_min < 0, floor-divided by
+    -h_min; 0 when a single vertex sits there or h_min >= 0."""
+    hs = [pairing(w, v) for v in vs]
+    h_min = min(hs)
+    bottom = [v for v, h in zip(vs, hs) if h == h_min]
+    if h_min >= 0 or len(bottom) == 1:
+        return 0
+    return edge_lattice_length(*bottom) // -h_min
 
 
 def pl_dual_map(P, factor):
     """Image of the dual polygon of P under the piecewise linear map
     induced by the factor; raises InvalidFactor when its length is
     infeasible."""
-    l_max = _max_length(polygon_vertices(P), factor.w)
+    l_max = max_length(polygon_vertices(P), factor.w)
     if factor.length > l_max:
         raise InvalidFactor(f"factor length {format_ints(factor.length)}"
                             f" exceeds the maximum {format_ints(l_max)}")

@@ -128,6 +128,12 @@ class TestTree:
         doc = json.loads(out)
         assert max(int(n["depth"]) for n in doc["nodes"]) == 5
 
+    def test_max_height_below_the_root_rejected(self, capsys):
+        code, out, err = run(capsys, ["tree", "1", "1", "1", "--max-height", "1"])
+        assert (code, out) == (1, "")
+        assert err == ("error: max_height 1 is below the height 3 of the"
+                       " minimal weights (1, 1, 1)\n")
+
     def test_dot(self, capsys):
         code, out, _ = run(capsys, ["--format", "dot", "tree", "1", "1", "1",
                                     "--depth", "2"])

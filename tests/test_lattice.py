@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from fwpp.fwps import wps_triangle
+from fwpp.fwps import cone_singularity, is_T_singularity, wps_triangle
 from fwpp.lattice import (
+    LatticeError,
     NonConvexPolygon,
     NonPrimitiveVertex,
     OriginNotInterior,
@@ -16,6 +17,8 @@ from fwpp.lattice import (
     degree,
     dual_polygon,
     edge_lattice_length,
+    edges,
+    fano_vertices,
     int_to_decimal,
     is_primitive,
     make_fano_triangle,
@@ -334,6 +337,53 @@ class TestEdgeLatticeLength:
         assert n == edge_lattice_length(b, a)
         assert n == edge_lattice_length((ax + tx, ay + ty), (bx + tx, by + ty))
         assert n == edge_lattice_length((ax + ay, ay), (bx + by, by))
+
+
+def _assert_edge_table(P):
+    """Each row (w, h, L) of edges(P) against its edge p -> q: w primitive,
+    h L = det(p, q), w(p) = w(q) = -h, L the lattice length, and the edge
+    cone a T-singularity iff h divides L. Returns the number of T-cones."""
+    vs = fano_vertices(P)
+    rows = list(edges(P))
+    assert len(rows) == len(vs)
+    assert list(edges(tuple(vs)[::-1])) == rows
+    t_cones = 0
+    for (p, q), (w, h, L) in zip(zip(vs, vs[1:] + vs[:1]), rows):
+        assert is_primitive(w) and h > 0
+        assert h * L == p[0] * q[1] - p[1] * q[0]
+        assert pairing(w, p) == pairing(w, q) == -h
+        assert L == edge_lattice_length(p, q)
+        is_t = is_T_singularity(cone_singularity(p, q))
+        assert is_t == (L % h == 0)
+        t_cones += is_t
+    return t_cones
+
+
+_PRIMITIVE_POINT = st.tuples(st.integers(-12, 12),
+                             st.integers(-12, 12)).filter(is_primitive)
+
+
+class TestEdges:
+    def test_p2_and_a_fake_plane(self):
+        assert list(edges(P2)) == [((3, 1), 1, 1), ((0, 1), 1, 1), ((-3, -2), 1, 1)]
+        # (-5, 2) -> (10, -7): normal (9, 15) = 3 (3, 5), det 15 = 5 * 3
+        assert list(edges(T35)) == [((3, 5), 5, 3), ((-4, -5), 5, 2), ((-1, -5), 5, 1)]
+
+    def test_rows_match_their_edges(self, corpus, max_growth_branch):
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        polygons += [wps_triangle(*w) for w in max_growth_branch[10:17]]
+        assert any(len(Q) > 3 for Q in polygons)
+        t_cones = sum(_assert_edge_table(P) for P in polygons)
+        assert 0 < t_cones < sum(map(len, polygons))
+
+    @given(st.lists(_PRIMITIVE_POINT, min_size=3, max_size=8))
+    def test_rows_match_their_edges_on_drawn_hulls(self, points):
+        try:
+            fano_vertices(points)
+        except LatticeError:
+            assume(False)
+        _assert_edge_table(points)
 
 
 class TestJson:

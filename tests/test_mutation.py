@@ -85,9 +85,19 @@ class TestFindFactors:
     def test_example_factor(self):
         assert find_factors(P2, (0, 1)) == [Factor(w=(0, 1), f=(1, 0), length=1)]
 
-    def test_lengths_match_slice_oracle(self, corpus):
+    def test_width_given_as_a_list(self):
+        assert [f.length for f in find_factors(P2, [0, 1])] == [1]
+        factor = Factor(w=[0, 1], f=[1, 0], length=1)
+        assert mutate_with(P2, factor) == Q114.vertices
+
+    def test_lengths_match_slice_oracle(self, corpus, small_corpus):
+        # the outputs of the small corpus: the slice oracle walks every
+        # height, and on the larger corpus's outputs it takes half a minute
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in small_corpus for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
         total = 0
-        for P in corpus:
+        for P in polygons:
             for w in admissible_widths(P):
                 factors = find_factors(P, w)
                 total += len(factors)

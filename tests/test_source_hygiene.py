@@ -1,16 +1,17 @@
-"""Every name a source module imports is used in that module.
+"""Every name a source module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
 There is no linter among the test dependencies, so this reads the modules
-with ast. The package's __init__.py is skipped: it imports only to
-re-export."""
+with ast. The package's __init__.py is skipped by the import check: it
+imports only to re-export."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "fwpp").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "fwpp").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -25,8 +26,10 @@ def _imported_names(tree):
 
 
 def _used_names(tree):
-    """Every ast.Name, which includes the base of every attribute chain."""
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Every ast.Name loaded, which includes the base of every attribute
+    chain."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def test_sources_found():
@@ -47,3 +50,54 @@ def test_an_unused_import_is_reported():
                      "from math import gcd, prod\nprint(prod([2]))\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["json", "gcd"]
+
+
+def _private_definitions(tree):
+    """(name, line) for each module-level def, class or assignment whose
+    name starts with one underscore and is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(t.id, t.lineno) for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, line in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, line
+
+
+def _referenced_names(tree):
+    """Every name loaded as an ast.Name or read as an attribute."""
+    return _used_names(tree) | {node.attr for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute)}
+
+
+def _unreferenced_private_names(modules):
+    """"module: name (line n)" for each private name of the {module: tree}
+    map that no module references."""
+    referenced = set().union(*map(_referenced_names, modules.values()))
+    return [f"{module}: {name} (line {line})"
+            for module, tree in modules.items()
+            for name, line in _private_definitions(tree) if name not in referenced]
+
+
+def test_every_private_name_is_referenced():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+               for p in PACKAGE}
+    assert sum(len(list(_private_definitions(t))) for t in modules.values()) > 20
+    assert _unreferenced_private_names(modules) == []
+
+
+def test_an_unreferenced_private_name_is_reported():
+    modules = {
+        "a.py": ast.parse("_LIMIT = 3\n_spare: int = 4\n__all__ = []\n"
+                          "def _used(): return _LIMIT\n"
+                          "def _dead(): pass\nclass _Gone: pass\n"
+                          "def public(): return 1\n"),
+        "b.py": ast.parse("import a\nprint(a._used())\n_dead = 5\n"),
+    }
+    assert _unreferenced_private_names(modules) == [
+        "a.py: _spare (line 2)", "a.py: _dead (line 5)",
+        "a.py: _Gone (line 6)", "b.py: _dead (line 3)"]

@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -161,6 +162,12 @@ well_formed = st.tuples(*[st.integers(1, 10**6)] * 3).filter(is_well_formed)
 def test_tree_matches_oracle_on_drawn_roots(root, max_depth, max_height):
     if max_depth is None and max_height is None:
         max_depth = 4
+    root_h = height(descent_oracle(root)[-1])
+    if max_height is not None and max_height < root_h:
+        with pytest.raises(ValueError, match=f"max_height {max_height} is below"
+                           f" the height {root_h} of the minimal weights"):
+            build_mutation_tree(root, max_depth=max_depth, max_height=max_height)
+        return
     assert_tree_matches(root, max_depth=max_depth, max_height=max_height)
 
 
@@ -198,6 +205,14 @@ def test_tree_rejects_bad_input():
         build_mutation_tree((1, 1, 1), max_depth=-1)
     with pytest.raises(ValueError, match="max_height -5 is negative"):
         build_mutation_tree((1, 1, 1), max_height=-5)
+    for bound in (0, 1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_height {bound} is below the height 3 of the minimal"
+                " weights (1, 1, 1)")):
+            build_mutation_tree((1, 1, 1), max_height=bound)
+    # a bound equal to the root's height keeps the root alone
+    tree = build_mutation_tree((4, 25, 841), max_height=3)
+    assert [n.weights for n in tree.nodes] == [(1, 1, 1)]
 
 
 def test_tree_node_stores_only_what_cannot_be_recomputed():
