@@ -18,15 +18,12 @@ from . import diophantine, fwps, lattice, mutation, pell357
 _text = lattice.format_ints
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_triangle(path: str) -> lattice.FanoPolygon:
-    return lattice.triangle_from_json(_read_input(path))
+    """The triangle document at the path, or on stdin for '-'."""
+    if path == "-":
+        return lattice.triangle_from_json(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return lattice.triangle_from_json(fh.read())
 
 
 def _jsonable(value):
@@ -69,31 +66,19 @@ def _emit(args, obj, text_lines, dot=None):
         sys.stdout.write("\n")
 
 
-def _int(text: str) -> int:
-    """int(text), except that decimal tokens of any length are read with
-    lattice.decimal_to_int, past Python's int/str digit limit."""
-    if lattice._DECIMAL.fullmatch(text):
-        return lattice.decimal_to_int(text)
-    return int(text)
-
-
 def _parse_point(text: str) -> tuple[int, int]:
+    """'x,y' or '(x, y)': spaces around a coordinate are allowed."""
     parts = text.replace("(", "").replace(")", "").split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
-    return (_int(parts[0]), _int(parts[1]))
-
-
-def _factor_obj(factor: mutation.Factor) -> dict:
-    return {"w": list(factor.w), "f": list(factor.f), "length": factor.length}
+    return tuple(lattice.decimal_to_int(part.strip(" ")) for part in parts)
 
 
 def cmd_analyze(args) -> int:
     P = _load_triangle(args.input)
     inv = fwps.weights_of(P)
     edges = []
-    for i in range(3):
-        u, v = P[i], P[(i + 1) % 3]
+    for u, v in zip(P, P[1:] + P[:1]):
         s = fwps.cone_singularity(u, v)
         edges.append({
             "from": list(u),
@@ -133,12 +118,8 @@ def cmd_mutate(args) -> int:
 def cmd_enumerate(args) -> int:
     P = _load_triangle(args.input)
     results = mutation.enumerate_one_step(P, triangles_only=args.triangles_only)
-    obj = {
-        "mutations": [
-            {"factor": _factor_obj(f), **lattice.polygon_to_obj(Q)}
-            for f, Q in results
-        ]
-    }
+    obj = {"mutations": [{"factor": vars(f), **lattice.polygon_to_obj(Q)}
+                         for f, Q in results]}
     _emit(args, obj, lambda: [f"{len(results)} mutation class(es)"] + [
         f"w={_text(f.w)} f={_text(f.f)} l={_text(f.length)}: {_text(list(Q))}"
         for f, Q in results
@@ -209,32 +190,21 @@ def cmd_tsing(args) -> int:
 
 
 def cmd_pell(args) -> int:
+    # Each row is (a0, the free one of a1 and a2, M); the fixed one is 1.
     if args.family == "a1":
-        rows = pell357.family_a1_fixed(args.count)
-        keys = ("a0", "a2")
+        rows, free = pell357.family_a1_fixed(args.count), "a2"
     else:
-        rows = pell357.family_a2_fixed(args.count)
-        keys = ("a0", "a1")
-    obj = {
-        "rows": [
-            {
-                "n": n,
-                "a0": row[0],
-                "a1": 1 if args.family == "a1" else row[1],
-                "a2": row[1] if args.family == "a1" else 1,
-                "M": row[2],
-            }
-            for n, row in enumerate(rows)
-        ]
-    }
+        rows, free = pell357.family_a2_fixed(args.count), "a1"
+    obj = {"rows": [{"n": n, "a0": a0, args.family: 1, free: a, "M": m}
+                    for n, (a0, a, m) in enumerate(rows)]}
     _emit(args, obj, lambda: [
-        f"n={n} {keys[0]}={_text(r[0])} {keys[1]}={_text(r[1])} M={_text(r[2])}"
-        for n, r in enumerate(rows)])
+        f"n={n} a0={_text(a0)} {free}={_text(a)} M={_text(m)}"
+        for n, (a0, a, m) in enumerate(rows)])
     return 0
 
 
 def _positive_int(text: str) -> int:
-    n = _int(text)
+    n = lattice.decimal_to_int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return n
@@ -281,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = weights_cmd("weights-mutate", cmd_weights_mutate,
                     "mutate a weight triple at a pivot")
-    p.add_argument("--pivot", type=int, choices=(0, 1, 2), required=True)
+    # fwps.mutate_weights checks the range, for a pivot of any size
+    p.add_argument("--pivot", type=lattice.decimal_to_int, metavar="{0,1,2}",
+                   required=True)
 
     weights_cmd("minimal", cmd_minimal, "descend to the minimal weights")
 
@@ -294,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsing", help="classify a quotient singularity 1/r(a,b)")
     p.add_argument("r", type=_positive_int)
-    p.add_argument("a", type=_int)
-    p.add_argument("b", type=_int)
+    p.add_argument("a", type=lattice.decimal_to_int)
+    p.add_argument("b", type=lattice.decimal_to_int)
     p.set_defaults(func=cmd_tsing)
 
     p = sub.add_parser("pell", help="terms of the Pell families of the 3-5-7 equation")

@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
 
-from .fwps import _OTHERS, _step, _triple, _well_formed_weights, is_well_formed
+from .fwps import (_OTHERS, _pivot, _positive_weights, _step, _triple,
+                   _well_formed_weights, is_well_formed)
 from .lattice import format_ints, int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
@@ -153,9 +154,7 @@ def derive_equation(weights):
     a2, m / k = h / (a0 a1 a2) in lowest terms. Weights that are not
     well-formed are factored as they are, with their height and degree.
     """
-    lams = tuple(index(x) for x in weights)
-    if len(lams) != 3 or min(lams) < 1:
-        raise ValueError(f"need three positive weights, got {format_ints(lams)}")
+    lams = _positive_weights(weights)
     if not is_well_formed(lams):
         return _derive_direct(lams)
     root = descend_to_minimal(lams)[-1]
@@ -183,8 +182,7 @@ def mutate_solution(eq: DiophantineEquation, s, pivot: int):
     """(a0,a1,a2) -> ((m/k) ai aj / cp - ap, ...) at the pivot index;
     raises NonIntegral when the image is not a positive integer."""
     s = _solution(s)
-    if pivot not in (0, 1, 2):
-        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot!r}")
+    pivot = _pivot(pivot)
     ai, aj = (s[i] for i in range(3) if i != pivot)
     num, den = eq.m * ai * aj, eq.k * eq.c[pivot]
     q, r = divmod(num, den)
@@ -277,6 +275,14 @@ def _vieta_step(w, pivot, num, den):
     return (li, q, lj) if q <= lj else (li, lj, q)
 
 
+def _bound(name, value):
+    """The one reader of a tree bound: None, or a nonnegative integer read
+    with operator.index."""
+    if value is not None and (value := index(value)) < 0:
+        raise ValueError(f"{name} {format_ints(value)} is negative")
+    return value
+
+
 def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTree:
     """Descend to the minimal root, then expand all height-increasing weight
     mutations breadth-first until a bound is hit (truncated nodes flagged).
@@ -291,14 +297,8 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     parent index. A max_height below the height of the root raises
     ValueError, so that no node exceeds the bound.
     """
-    if max_depth is not None:
-        max_depth = index(max_depth)
-        if max_depth < 0:
-            raise ValueError(f"max_depth {format_ints(max_depth)} is negative")
-    if max_height is not None:
-        max_height = index(max_height)
-        if max_height < 0:
-            raise ValueError(f"max_height {format_ints(max_height)} is negative")
+    max_depth = _bound("max_depth", max_depth)
+    max_height = _bound("max_height", max_height)
     if max_depth is None and max_height is None:
         raise ValueError("need max_depth and/or max_height")
     root_w = descend_to_minimal(weights)[-1]

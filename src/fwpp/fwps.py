@@ -60,19 +60,23 @@ class FwpsInvariants:
     degree: Fraction
 
 
-def canon_weights(weights) -> tuple[int, int, int]:
-    w = tuple(index(x) for x in weights)
-    if len(w) != 3 or min(w) < 1:
-        raise ValueError(f"need three positive weights, got {format_ints(w)}")
-    return tuple(sorted(w))
-
-
-def _triple(values, what="three weights") -> tuple[int, int, int]:
-    """Three integers read with operator.index; other lengths raise."""
+def _triple(values, what="three weights", positive=False) -> tuple[int, int, int]:
+    """The one reader of a triple: three integers read with operator.index,
+    in the order given. Other lengths raise, and so does an entry below 1
+    when positive."""
     t = tuple(index(x) for x in values)
-    if len(t) != 3:
+    if len(t) != 3 or positive and min(t) < 1:
         raise ValueError(f"need {what}, got {format_ints(t)}")
     return t
+
+
+def _positive_weights(weights) -> tuple[int, int, int]:
+    """The one reader of a weight triple, which keeps its order."""
+    return _triple(weights, "three positive weights", positive=True)
+
+
+def canon_weights(weights) -> tuple[int, int, int]:
+    return tuple(sorted(_positive_weights(weights)))
 
 
 def is_well_formed(weights) -> bool:
@@ -168,12 +172,18 @@ def _well_formed_weights(weights) -> tuple[int, int, int]:
     return w
 
 
+def _pivot(pivot) -> int:
+    """The one reader of a pivot: 0, 1 or 2, read with operator.index."""
+    if (p := index(pivot)) not in (0, 1, 2):
+        raise ValueError(f"pivot must be 0, 1 or 2, got {format_ints(p)}")
+    return p
+
+
 def mutate_weights(weights, pivot: int) -> tuple[int, int, int]:
     """One-step mutation of well-formed weights at the given pivot of the
     sorted triple: (li, lj, (li+lj)^2 / lp), sorted."""
     w = _well_formed_weights(weights)
-    if pivot not in (0, 1, 2):
-        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot!r}")
+    pivot = _pivot(pivot)
     target = _step(w, pivot)
     if target is None:
         li, lj = (int_to_decimal(w[i]) for i in _OTHERS[pivot])
@@ -201,10 +211,9 @@ def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
 def wps_triangle(l0: int, l1: int, l2: int) -> FanoPolygon:
     """A Fano triangle whose spanning fan defines P(l0, l1, l2); requires
     well-formed weights."""
-    w = (index(l0), index(l1), index(l2))
-    if min(w) < 1 or not is_well_formed(w):
+    l0, l1, l2 = w = _positive_weights((l0, l1, l2))
+    if not is_well_formed(w):
         raise ValueError(f"weights {format_ints(w)} must be positive and well-formed")
-    l0, l1, l2 = w
     v1: Point = (1, 0)
     c = (-l1 * pow(l2, -1, l0)) % l0
     v2: Point = (c, l0)

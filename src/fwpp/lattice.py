@@ -245,6 +245,9 @@ def edge_lattice_length(a, b) -> int:
 # consumers that parse JSON numbers as 64-bit. Input may also use JSON
 # integers; any other shape or value is rejected, never rounded.
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def int_to_decimal(n: int) -> str:
     """The decimal string of n, at any size.
 
@@ -264,7 +267,10 @@ def int_to_decimal(n: int) -> str:
 
 def decimal_to_int(text: str) -> int:
     """The integer a string matching -?[0-9]+ spells, at any length; the
-    inverse of int_to_decimal."""
+    inverse of int_to_decimal and the one reader of integers written as
+    text, so "+3", " 7", "1_0" or "0x10" raise ValueError."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
     digits = text.lstrip("-")
     limit = sys.get_int_max_str_digits()
     if not limit or len(digits) <= limit:
@@ -293,16 +299,14 @@ def polygon_to_obj(vertices) -> dict:
                          for x, y in polygon_vertices(vertices)]}
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _coordinate(value) -> int:
     """A JSON integer (not a boolean) or a decimal-integer string."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+    try:
         return decimal_to_int(value)
-    raise MalformedPolygon(f"coordinate {value!r} is not an integer")
+    except (TypeError, ValueError):
+        raise MalformedPolygon(f"coordinate {value!r} is not an integer") from None
 
 
 def polygon_from_obj(obj) -> tuple[Point, ...]:
@@ -321,7 +325,7 @@ def triangle_to_json(P) -> str:
 
 def triangle_from_json(text: str) -> FanoPolygon:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=decimal_to_int)
     except RecursionError:
         raise MalformedPolygon("the document is nested too deeply") from None
     vs = polygon_from_obj(obj)

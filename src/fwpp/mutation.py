@@ -43,6 +43,7 @@ from .lattice import (
     format_ints,
     is_primitive,
     pairing,
+    polygon_vertices,
 )
 
 
@@ -57,20 +58,25 @@ class InvalidFactor(LatticeError):
 @dataclass(frozen=True)
 class Factor:
     """The data of one mutation: width vector w and the lattice segment
-    conv{0, length*f} at height zero (w(f) = 0, f primitive)."""
+    conv{0, length*f} at height zero (w(f) = 0, f primitive), kept as
+    tuples of ints and an int whatever they are given as."""
 
     w: Point
     f: Point
     length: int
 
     def __post_init__(self):
-        if not is_primitive(self.w):
-            raise InvalidFactor(f"width {format_ints(self.w)} must be primitive")
-        if not is_primitive(self.f):
-            raise InvalidFactor(f"direction {format_ints(self.f)} must be primitive")
-        if pairing(self.w, self.f) != 0:
+        w, f = polygon_vertices((self.w, self.f))
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "length", index(self.length))
+        if not is_primitive(w):
+            raise InvalidFactor(f"width {format_ints(w)} must be primitive")
+        if not is_primitive(f):
+            raise InvalidFactor(f"direction {format_ints(f)} must be primitive")
+        if pairing(w, f) != 0:
             raise InvalidFactor("factor direction must lie at height zero")
-        if index(self.length) < 1:
+        if self.length < 1:
             raise InvalidFactor("factor length must be >= 1")
 
     def inverse(self) -> "Factor":
@@ -104,12 +110,17 @@ def find_factors(P, w) -> list[Factor]:
 def mutate_with(P, factor: Factor) -> FanoPolygon:
     """Combinatorial mutation of P by the factor, a FanoPolygon; raises
     InvalidMutationData when its length is infeasible."""
-    w, f, length = factor.w, factor.f, factor.length
     vs = fano_vertices(P)
-    l_max = _max_length(vs, w)
-    if length > l_max:
-        raise InvalidMutationData(f"factor length {format_ints(length)}"
+    l_max = _max_length(vs, factor.w)
+    if factor.length > l_max:
+        raise InvalidMutationData(f"factor length {format_ints(factor.length)}"
                                   f" exceeds the maximum {format_ints(l_max)}")
+    return _mutate_core(vs, factor)
+
+
+def _mutate_core(vs, factor: Factor) -> FanoPolygon:
+    """mutate_with on a FanoPolygon vs, without the length check."""
+    w, f, length = factor.w, factor.f, factor.length
     hs = [pairing(w, v) for v in vs]
     climbing_in_front = det(f, w) > 0
     dx, dy = length * f[0], length * f[1]
@@ -192,12 +203,13 @@ def unimodular_equivalent(A, B) -> bool:
 
 def enumerate_one_step(P, triangles_only: bool = False):
     """All one-step mutations of P over admissible widths and factors,
-    deduplicated up to unimodular equivalence of the outputs."""
+    deduplicated up to unimodular equivalence of the outputs. The factors
+    find_factors gives are feasible, so they skip mutate_with's check."""
     P = fano_vertices(P)
     seen = {}
     for w in admissible_widths(P):
         for factor in find_factors(P, w):
-            Q = mutate_with(P, factor)
+            Q = _mutate_core(P, factor)
             if triangles_only and len(Q) != 3:
                 continue
             key = canonical_form(Q)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from math import isqrt
@@ -265,6 +266,25 @@ class TestBigIntegers:
             assert (code, out) == (1, "")
             assert err == without_digit_limit(lambda: f"error: {message()}\n")
 
+    def test_json_integer_coordinates_past_the_digit_limit(self, capsys, tmp_path):
+        # P2 sheared by (x, y) -> (x, y + n x), with 5,000-digit coordinates
+        # written as JSON integers and as decimal strings
+        n = 10**4999
+        quoted = triangle_to_json(make_fano_triangle((1, n), (0, 1), (-1, -n - 1)))
+        bare = re.sub(r'"(-?[0-9]+)"', r"\1", quoted)
+        assert bare.count('"') == 2
+        outputs = {}
+        for name, text in (("quoted", quoted), ("bare", bare)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            for fmt in ("json", "text"):
+                code, out, err = run(capsys, ["--format", fmt, "analyze", str(path)])
+                assert (code, err) == (0, ""), (name, fmt)
+                outputs[name, fmt] = out
+        assert outputs["bare", "json"] == outputs["quoted", "json"]
+        assert outputs["bare", "text"] == outputs["quoted", "text"]
+        assert json.loads(outputs["bare", "json"])["weights"] == ["1", "1", "1"]
+
     def test_text_past_the_digit_limit(self, capsys, tmp_path, max_growth_branch,
                                        without_digit_limit):
         w = max_growth_branch[-1]
@@ -296,6 +316,51 @@ class TestBigIntegers:
             code, out, err = run(capsys, ["--format", "text", command, *argv])
             assert (code, err) == (0, ""), command
             assert out.splitlines() == expected[command], command
+
+
+class TestIntegerArguments:
+    """Every integer argument is read by lattice.decimal_to_int: -?[0-9]+
+    at any length, and no other spelling."""
+
+    # Spaces around a point coordinate are allowed, as in "1, 2", so " 7"
+    # is refused everywhere but in --width.
+    @pytest.mark.parametrize("place, token", [
+        (place, token) for place in ("weight", "pivot", "tsing", "width")
+        for token in ("+3", " 7", "1_0", "\u0661", "0x10")
+        if (place, token) != ("width", " 7")])
+    def test_other_spellings_refused(self, capsys, p2_file, place, token):
+        argv = {
+            "weight": ["weights-mutate", token, "1", "1", "--pivot", "0"],
+            "pivot": ["weights-mutate", "1", "1", "1", f"--pivot={token}"],
+            "tsing": ["tsing", "5", token, "3"],
+            "width": ["mutate", p2_file, f"--width={token},1", "--factor=1,0"],
+        }[place]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, _ = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+
+    def test_spaces_around_point_coordinates(self, capsys, p2_file):
+        outputs = set()
+        for width in ("0,1", "0, 1", " (0 , 1) "):
+            code, out, err = run(capsys, ["mutate", p2_file, "--width", width,
+                                          "--factor=1,0"])
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert len(outputs) == 1
+
+    def test_five_thousand_digit_weight(self, capsys):
+        n = 10**4999 + 1
+        code, out, err = run(capsys, ["minimal", "1", "1", int_to_decimal(n)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["minimal"] == ["1", "1", int_to_decimal(n)]
+
+    @pytest.mark.parametrize("pivot", [3, -1, 10**5000], ids=["3", "-1", "huge"])
+    def test_pivot_out_of_range(self, capsys, pivot):
+        code, out, err = run(capsys, ["weights-mutate", "1", "1", "1",
+                                      "--pivot", int_to_decimal(pivot)])
+        assert (code, out) == (1, "")
+        assert err == f"error: pivot must be 0, 1 or 2, got {int_to_decimal(pivot)}\n"
 
 
 def test_sympy_not_imported():

@@ -59,9 +59,11 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: is_well_formed((1.0, 2, 3)),
     lambda: wps_triangle(1.9, 1, 1),
     lambda: mutate_weights((1.0, 1, 1), 0),
+    lambda: mutate_weights((1, 1, 1), 1.0),
     lambda: derive_equation((1.2, 1, 1)),
     lambda: verify_solution(MARKOV, (1.0, 1, 1)),
     lambda: mutate_solution(MARKOV, (1.0, 1, 1), 0),
+    lambda: mutate_solution(MARKOV, (1, 1, 1), 1.0),
     lambda: height((1.5, 1, 1)),
     lambda: pell357.is_solution((1.0, 1, 1)),
     lambda: pell357.component_of((2.0, 1, 1)),
@@ -82,8 +84,9 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: pell357.condition_357(Fraction(1), 4),
     lambda: pell357.solve_quadratic_357(Fraction(1), 4),
 ], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor", "canon_weights",
-        "is_well_formed", "wps_triangle", "mutate_weights", "derive_equation",
-        "verify_solution", "mutate_solution", "height", "is_solution",
+        "is_well_formed", "wps_triangle", "mutate_weights", "mutate_weights-pivot",
+        "derive_equation", "verify_solution", "mutate_solution",
+        "mutate_solution-pivot", "height", "is_solution",
         "component_of", "coprime_implies_well_formed_check", "solution_weights",
         "degree", "canonical_form", "mutate_with", "vertex_weights",
         "build_mutation_tree-depth", "build_mutation_tree-height", "dual_polygon",
@@ -135,10 +138,16 @@ N = 10**4400
      InvalidMutationData, N),
     (lambda: apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
      InvalidMutationData, N),
+    (lambda: mutate_weights((1, 1, 1), N), ValueError, N),
+    (lambda: mutate_solution(MARKOV, (1, 1, 1), N), ValueError, N),
+    (lambda: build_mutation_tree((1, 1, 1), max_depth=-N), ValueError, -N),
+    (lambda: build_mutation_tree((1, 1, 1), max_height=-N), ValueError, -N),
 ], ids=["canon_weights", "wps_triangle", "derive_equation", "find_factors",
         "validate_fano_polygon", "cone_singularity", "component_of",
         "coprime_implies_well_formed_check", "mutate_solution",
-        "mutate_solution-fraction", "mutate_with", "apply_dual_map"])
+        "mutate_solution-fraction", "mutate_with", "apply_dual_map",
+        "mutate_weights-pivot", "mutate_solution-pivot",
+        "build_mutation_tree-depth", "build_mutation_tree-height"])
 def test_errors_quote_integers_past_the_digit_limit(call, error, quoted):
     with pytest.raises(error) as info:
         call()

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwpp import lattice
+from fwpp import lattice, mutation
 from fwpp.diophantine import build_mutation_tree
 from fwpp.fwps import weights_of, wps_triangle
 from fwpp.lattice import (
@@ -89,6 +89,15 @@ class TestFindFactors:
         assert [f.length for f in find_factors(P2, [0, 1])] == [1]
         factor = Factor(w=[0, 1], f=[1, 0], length=1)
         assert mutate_with(P2, factor) == Q114.vertices
+        # the factor keeps tuples of ints, so it hashes and compares as one
+        # given as tuples
+        expected = Factor((0, 1), (1, 0), 1)
+        for factor in (find_factors(P2, [0, 1])[0], factor,
+                       Factor((False, True), [True, 0], True)):
+            assert factor == expected and hash(factor) == hash(expected)
+            assert (type(factor.w), type(factor.f)) == (tuple, tuple)
+            assert all(type(x) is int for x in (*factor.w, *factor.f, factor.length))
+        assert Factor((0, 1), (1, 0), True).length == 1
 
     def test_lengths_match_slice_oracle(self, corpus, small_corpus):
         # the outputs of the small corpus: the slice oracle walks every
@@ -342,6 +351,26 @@ class TestEnumerate:
 
     def test_fake_plane_rigid(self):
         assert enumerate_one_step(T35) == []
+
+    def test_one_edge_table_per_width(self, corpus, monkeypatch):
+        # one table for admissible_widths and one per width in find_factors;
+        # the factors found are feasible, so building them reads none
+        polygons = list(corpus) + [Q for P in corpus[:60]
+                                   for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
+        expected = [1 + len(admissible_widths(P)) for P in polygons]
+        tables = []
+        real = mutation.edges
+
+        def counted(P):
+            tables[-1] += 1
+            return real(P)
+
+        monkeypatch.setattr(mutation, "edges", counted)
+        for P in polygons:
+            tables.append(0)
+            enumerate_one_step(P)
+        assert tables == expected
 
     @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3)])
     def test_geometric_tree_matches_weight_tree(self, root):

@@ -1,5 +1,6 @@
-"""Every name a source module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a source module imports is used in that module, every
+module-level private name is used somewhere in the package, and only
+lattice.decimal_to_int reads integers written as text.
 
 There is no linter among the test dependencies, so this reads the modules
 with ast. The package's __init__.py is skipped by the import check: it
@@ -101,3 +102,52 @@ def test_an_unreferenced_private_name_is_reported():
     assert _unreferenced_private_names(modules) == [
         "a.py: _spare (line 2)", "a.py: _dead (line 5)",
         "a.py: _Gone (line 6)", "b.py: _dead (line 3)"]
+
+
+def _stray_integer_reads(tree, module):
+    """"module: line n" for each call of the builtin int, or int handed
+    over as a keyword argument (argparse's type=int), outside
+    lattice.decimal_to_int, and for each json.loads call without
+    parse_int."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            is_int = isinstance(node.func, ast.Name) and node.func.id == "int"
+            hands_int = any(isinstance(k.value, ast.Name) and k.value.id == "int"
+                            for k in node.keywords)
+            if (is_int or hands_int) and (module, function) != (
+                    "lattice.py", "decimal_to_int"):
+                found.append(f"{module}: line {node.lineno}")
+            is_loads = (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "loads")
+            if is_loads and "parse_int" not in {k.arg for k in node.keywords}:
+                found.append(f"{module}: line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_integers_written_as_text_have_one_reader():
+    """Only lattice.decimal_to_int turns text into an integer, and every
+    JSON document hands its integer literals to it."""
+    assert [line for p in PACKAGE for line in _stray_integer_reads(
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), p.name)] == []
+
+
+def test_a_stray_integer_read_is_reported():
+    source = ("import json\n"
+              "def decimal_to_int(t): return int(t)\n"
+              "def f(t): return int(t.strip())\n"
+              "p.add_argument('--n', type=int)\n"
+              "json.loads(t)\n"
+              "json.loads(t, parse_int=decimal_to_int)\n"
+              "isinstance(t, int)\n")
+    assert _stray_integer_reads(ast.parse(source), "lattice.py") == [
+        "lattice.py: line 3", "lattice.py: line 4", "lattice.py: line 5"]
+    assert _stray_integer_reads(ast.parse(source), "cli.py") == [
+        "cli.py: line 2", "cli.py: line 3", "cli.py: line 4", "cli.py: line 5"]
