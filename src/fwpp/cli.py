@@ -118,7 +118,7 @@ def cmd_mutate(args) -> int:
 def cmd_enumerate(args) -> int:
     P = _load_triangle(args.input)
     results = mutation.enumerate_one_step(P, triangles_only=args.triangles_only)
-    obj = {"mutations": [{"factor": vars(f), **lattice.polygon_to_obj(Q)}
+    obj = {"mutations": [{"factor": f._asdict(), **lattice.polygon_to_obj(Q)}
                          for f, Q in results]}
     _emit(args, obj, lambda: [f"{len(results)} mutation class(es)"] + [
         f"w={_text(f.w)} f={_text(f.f)} l={_text(f.length)}: {_text(list(Q))}"
@@ -153,11 +153,13 @@ def cmd_tree(args) -> int:
     def json_chunks():
         return map("".join, diophantine._tree_json_chunks(tree, quoted=True))
 
-    _emit(args, json_chunks, lambda: [
-        f"{'  ' * n.depth}{_text(n.weights)} h={_text(n.height)}"
-        + (" [truncated]" if n.truncated else "")
-        for n in tree.nodes
-    ], dot=lambda: diophantine.tree_to_dot(tree))
+    def text_lines():
+        dec = diophantine._weight_decimals()
+        return [f"{'  ' * n.depth}({', '.join(map(dec, n.weights))})"
+                f" h={_text(n.height)}" + (" [truncated]" if n.truncated else "")
+                for n in tree.nodes]
+
+    _emit(args, json_chunks, text_lines, dot=lambda: diophantine.tree_to_dot(tree))
     return 0
 
 

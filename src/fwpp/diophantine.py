@@ -7,8 +7,7 @@ with DOT/JSON export.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
@@ -20,9 +19,19 @@ from .lattice import format_ints, int_to_decimal
 # Trial divisors of square_free_decompose. A cofactor free of them and below
 # _TRIAL_LIMIT**3 has at most two prime factors, so an isqrt settles it.
 _TRIAL_LIMIT = 1000
-_SMALL_PRIMES = tuple(
-    p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, isqrt(p) + 1))
-)
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 
 class NonIntegral(ValueError):
@@ -30,21 +39,15 @@ class NonIntegral(ValueError):
     no weight-level mutation at this pivot."""
 
 
-@dataclass(frozen=True)
-class SquareFreeDecomposition:
-    c: int  # square-free part
-    a: int  # n == c * a**2
+# n == c * a**2 with c square-free
+SquareFreeDecomposition = namedtuple("SquareFreeDecomposition", "c a")
 
 
-@dataclass(frozen=True)
-class DiophantineEquation:
+class DiophantineEquation(namedtuple("DiophantineEquation", "m k c r")):
     """m x0 x1 x2 = k (c0 x0^2 + c1 x1^2 + c2 x2^2), with square-free r such
     that m^2 / (r k^2) is the degree of the generating weighted plane."""
 
-    m: int
-    k: int
-    c: tuple[int, int, int]
-    r: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         def term(ci, i):
@@ -57,15 +60,10 @@ class DiophantineEquation:
         return f"{lhs} = {rhs}"
 
 
-@dataclass(frozen=True)
-class GeneralDerivation:
-    """Bookkeeping of the general (not necessarily well-formed) derivation;
-    d = S = T = 1 for well-formed weights and g is square-free."""
-
-    d: int
-    S: int
-    T: int
-    g: int
+GeneralDerivation = namedtuple("GeneralDerivation", "d S T g")
+GeneralDerivation.__doc__ = """Bookkeeping of the general (not necessarily
+well-formed) derivation; d = S = T = 1 for well-formed weights and g is
+square-free."""
 
 
 def square_free_decompose(n: int) -> SquareFreeDecomposition:
@@ -220,29 +218,47 @@ def descend_to_minimal(weights):
     return path
 
 
-@dataclass(slots=True)
 class TreeNode:
     """One node of a MutationTree. Only what cannot be recomputed is
     stored: the height is the sum of the weights, and the children of node
-    k are the nodes whose parent is k, in index order."""
+    k are the nodes whose parent is k, in index order. pivot is the pivot
+    in the parent's sorted triple. Mutable: build_mutation_tree sets
+    truncated after the node is made."""
 
-    weights: tuple[int, int, int]
-    depth: int
-    parent: int | None = None
-    pivot: int | None = None  # pivot in the parent's sorted triple
-    truncated: bool = False
+    __slots__ = ("weights", "depth", "parent", "pivot", "truncated")
+    __hash__ = None
+
+    def __init__(self, weights, depth, parent=None, pivot=None, truncated=False):
+        self.weights = weights
+        self.depth = depth
+        self.parent = parent
+        self.pivot = pivot
+        self.truncated = truncated
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def height(self) -> int:
         return sum(self.weights)
 
 
-@dataclass
-class MutationTree:
+class MutationTree(namedtuple("MutationTree", "nodes")):
     """Directed tree of weight triples ordered by height, rooted at the
-    minimal weights of the component."""
+    minimal weights of the component; nodes is a list of TreeNode, root
+    first."""
 
-    nodes: list[TreeNode]
+    __slots__ = ()
 
     @property
     def root(self) -> TreeNode:
@@ -340,16 +356,9 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     return MutationTree(nodes=nodes)
 
 
-def _tree_json_chunks(tree: MutationTree, quoted: bool = False):
-    """The nodes document of the tree, as json.dumps(..., sort_keys=True,
-    indent=2) writes it, as one tuple of string pieces per node plus a
-    closing tuple; joining every piece gives the document.
-
-    The pieces are shared fixed fragments and decimal strings, so the
-    document is built in one copy. Each distinct weight is converted once,
-    although a child repeats two of its parent's. depth, parent and pivot
-    are JSON ints, or decimal strings when quoted.
-    """
+def _weight_decimals():
+    """int_to_decimal for the weights of one tree, each distinct weight
+    converted once, although a child repeats two of its parent's."""
     decimals = {}
 
     def dec(x):
@@ -357,6 +366,20 @@ def _tree_json_chunks(tree: MutationTree, quoted: bool = False):
         if text is None:
             text = decimals[x] = int_to_decimal(x)
         return text
+
+    return dec
+
+
+def _tree_json_chunks(tree: MutationTree, quoted: bool = False):
+    """The nodes document of the tree, as json.dumps(..., sort_keys=True,
+    indent=2) writes it, as one tuple of string pieces per node plus a
+    closing tuple; joining every piece gives the document.
+
+    The pieces are shared fixed fragments and decimal strings, so the
+    document is built in one copy. depth, parent and pivot are JSON ints,
+    or decimal strings when quoted.
+    """
+    dec = _weight_decimals()
 
     def small(v):
         if v is None:
@@ -393,10 +416,10 @@ def tree_to_dot(tree: MutationTree) -> str:
     and expands parents in index order, so the edges come out grouped by
     parent, each group in the order the children were found.
     """
+    dec = _weight_decimals()
     lines = ["digraph mutations {"]
     for i, n in enumerate(tree.nodes):
-        label = (",".join(int_to_decimal(x) for x in n.weights)
-                 + f" (h={int_to_decimal(n.height)})")
+        label = ",".join(map(dec, n.weights)) + f" (h={int_to_decimal(n.height)})"
         shape = ' style=dashed' if n.truncated else ""
         lines.append(f'  n{i} [label="{label}"{shape}];')
     for i, n in enumerate(tree.nodes):

@@ -7,7 +7,7 @@ triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import index
@@ -35,13 +35,11 @@ class NotDivisible(LatticeError):
     so no weight-level mutation exists at this pivot."""
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
+class QuotientSingularity(namedtuple("QuotientSingularity", "r a")):
     """A cyclic quotient surface singularity 1/r(1, a), stored with the
     smaller of the two parameters presenting the same unordered type."""
 
-    r: int
-    a: int
+    __slots__ = ()
 
     @property
     def is_smooth(self) -> bool:
@@ -53,11 +51,8 @@ class QuotientSingularity:
         return f"1/{int_to_decimal(self.r)}(1,{int_to_decimal(self.a)})"
 
 
-@dataclass(frozen=True)
-class FwpsInvariants:
-    weights: tuple[int, int, int]
-    mult: int
-    degree: Fraction
+# The sorted weights, the multiplicity and the degree (a Fraction).
+FwpsInvariants = namedtuple("FwpsInvariants", "weights mult degree")
 
 
 def _triple(values, what="three weights", positive=False) -> tuple[int, int, int]:

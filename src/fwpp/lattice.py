@@ -299,24 +299,44 @@ def polygon_to_obj(vertices) -> dict:
                          for x, y in polygon_vertices(vertices)]}
 
 
-def _coordinate(value) -> int:
-    """A JSON integer (not a boolean) or a decimal-integer string."""
+_JSON_KINDS = {dict: "an object", bool: "a boolean", int: "an integer",
+               type(None): "null"}
+
+
+def _json_kind(value) -> str:
+    """A parsed JSON value for an error message: a string or a float
+    quoted, anything else named by its kind, a list with its length. No
+    integer is converted, so none can exceed the digit limit of str(), and
+    no nesting is walked."""
+    if isinstance(value, (str, float)):
+        return repr(value)
+    if isinstance(value, list):
+        return f"a list of length {len(value)}"
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _coordinate(value, vertex: int) -> int:
+    """A JSON integer (not a boolean) or a decimal-integer string, a
+    coordinate of the vertex of that index."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     try:
         return decimal_to_int(value)
     except (TypeError, ValueError):
-        raise MalformedPolygon(f"coordinate {value!r} is not an integer") from None
+        raise MalformedPolygon(f"vertex {vertex} has a coordinate that is not"
+                               f" an integer: {_json_kind(value)}") from None
 
 
 def polygon_from_obj(obj) -> tuple[Point, ...]:
     verts = obj.get("vertices") if isinstance(obj, dict) else None
     if not isinstance(verts, list):
         raise MalformedPolygon('expected an object with a "vertices" list')
-    for v in verts:
+    for i, v in enumerate(verts):
         if not (isinstance(v, list) and len(v) == 2):
-            raise MalformedPolygon(f"vertex {v!r} is not an [x, y] pair")
-    return tuple((_coordinate(x), _coordinate(y)) for x, y in verts)
+            raise MalformedPolygon(
+                f"vertex {i} is not an [x, y] pair: {_json_kind(v)}")
+    return tuple((_coordinate(x, i), _coordinate(y, i))
+                 for i, (x, y) in enumerate(verts))
 
 
 def triangle_to_json(P) -> str:

@@ -27,13 +27,12 @@ unimodular_equivalent read their input by fano_vertices as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from .lattice import (
     FanoPolygon,
     LatticeError,
-    Point,
     bezout,
     convex_hull,
     det,
@@ -55,29 +54,30 @@ class InvalidFactor(LatticeError):
     pass
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(namedtuple("Factor", "w f length")):
     """The data of one mutation: width vector w and the lattice segment
     conv{0, length*f} at height zero (w(f) = 0, f primitive), kept as
     tuples of ints and an int whatever they are given as."""
 
-    w: Point
-    f: Point
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        w, f = polygon_vertices((self.w, self.f))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "length", index(self.length))
+    def __new__(cls, w, f, length):
+        w, f = polygon_vertices((w, f))
+        length = index(length)
         if not is_primitive(w):
             raise InvalidFactor(f"width {format_ints(w)} must be primitive")
         if not is_primitive(f):
             raise InvalidFactor(f"direction {format_ints(f)} must be primitive")
         if pairing(w, f) != 0:
             raise InvalidFactor("factor direction must lie at height zero")
-        if self.length < 1:
+        if length < 1:
             raise InvalidFactor("factor length must be >= 1")
+        return super().__new__(cls, w, f, length)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that _replace checks its fields too."""
+        return cls(*iterable)
 
     def inverse(self) -> "Factor":
         return Factor(w=(-self.w[0], -self.w[1]), f=self.f, length=self.length)

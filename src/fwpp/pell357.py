@@ -9,7 +9,7 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 from operator import index
 
@@ -24,21 +24,13 @@ class NotASolution(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticSlice:
-    """The quadratic 3 x^2 - 12 a1 a2 x + (5 a1^2 + 7 a2^2) at fixed
-    (a1, a2), with its integer roots when they exist."""
+QuadraticSlice = namedtuple("QuadraticSlice", "a1 a2 roots")
+QuadraticSlice.__doc__ = """The quadratic 3 x^2 - 12 a1 a2 x + (5 a1^2 + 7 a2^2)
+at fixed (a1, a2), with its integer roots, or None when they do not exist."""
 
-    a1: int
-    a2: int
-    roots: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class Component:
-    """The solutions sharing (a1, a2): one or both roots of the quadratic."""
-
-    solutions: tuple[tuple[int, int, int], ...]
+Component = namedtuple("Component", "solutions")
+Component.__doc__ = """The solutions sharing (a1, a2): one or both roots of the
+quadratic, as a sorted tuple of triples."""
 
 
 def is_solution(s) -> bool:

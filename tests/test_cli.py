@@ -213,21 +213,38 @@ class TestErrors:
         assert code == 1 and "error:" in err
 
 
+# a JSON integer past the digit limit of str(), which no message may convert
+_HUGE = "1" + "0" * 5000
+
+
+def _named_by_text(text, message):
+    return pytest.param(text, message, id=text)
+
+
 class TestMalformedTriangle:
-    @pytest.mark.parametrize("text", [
-        '{"vertices": [[1.9, 0], [0, 1], [-1, -1]]}',
-        '{"vertices": [[true, 0], [0, 1], [-1, -1]]}',
-        '{"vertices": 5}',
-        '[1, 2]',
-        pytest.param("[" * 100000, id="nested-100000-deep"),
+    @pytest.mark.parametrize("text, message", [
+        _named_by_text('{"vertices": [[1.9, 0], [0, 1], [-1, -1]]}',
+                       "vertex 0 has a coordinate that is not an integer: 1.9"),
+        _named_by_text('{"vertices": [[true, 0], [0, 1], [-1, -1]]}',
+                       "vertex 0 has a coordinate that is not an integer: a boolean"),
+        _named_by_text('{"vertices": 5}', 'expected an object with a "vertices" list'),
+        _named_by_text('[1, 2]', 'expected an object with a "vertices" list'),
+        pytest.param("[" * 100000, "the document is nested too deeply",
+                     id="nested-100000-deep"),
+        pytest.param(f'{{"vertices": [[0, 1], [1, 0, {_HUGE}], [-1, -1]]}}',
+                     "vertex 1 is not an [x, y] pair: a list of length 3",
+                     id="huge-integer-in-a-three-entry-vertex"),
+        pytest.param(f'{{"vertices": [[0, 1], [1, 0], [-1, [{_HUGE}]]]}}',
+                     "vertex 2 has a coordinate that is not an integer:"
+                     " a list of length 1",
+                     id="huge-integer-in-a-list-coordinate"),
     ])
-    def test_rejected_with_one_error_line(self, capsys, tmp_path, text):
+    def test_rejected_with_one_error_line(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run(capsys, ["analyze", str(path)])
-        assert code == 1 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 class TestBigIntegers:
@@ -383,6 +400,39 @@ def test_sympy_not_imported():
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_imports_stay_light():
+    """A bare interpreter (-I -S) that runs one command of each subcommand
+    loads none of dataclasses, inspect, typing or sympy: each would add
+    milliseconds to every CLI process, or, for sympy, hundreds."""
+    script = """if True:
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        from fwpp.cli import main
+        p2 = '{"vertices": [["1", "-1"], ["-1", "2"], ["0", "-1"]]}'
+        for argv in (["analyze", "-"], ["mutate", "-", "--width=0,1", "--factor=1,0"],
+                     ["enumerate", "-"], ["weights-mutate", "1", "1", "1", "--pivot=0"],
+                     ["minimal", "1", "1", "4"], ["tree", "1", "1", "1"],
+                     ["diophantine", "1", "1", "1"], ["tsing", "5", "1", "3"],
+                     ["pell", "--family", "a1"]):
+            sys.stdin = io.StringIO(p2)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        loaded = sorted({"dataclasses", "inspect", "typing", "sympy"} & set(sys.modules))
+        assert not loaded, loaded
+    """
+    src = os.path.dirname(os.path.dirname(fwpp.__file__))
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_enumerate_names_the_factor_fields(capsys, p2_file):
+    code, out, _ = run(capsys, ["enumerate", p2_file])
+    assert code == 0
+    mutations = json.loads(out)["mutations"]
+    assert [sorted(m["factor"]) for m in mutations] == [["f", "length", "w"]]
 
 
 # Exact stdout of the cli workload's invocations, one file per entry in

@@ -11,6 +11,8 @@ from hypothesis import example, given, strategies as st
 from sympy import factorint, nextprime
 
 from fwpp.diophantine import (
+    _SMALL_PRIMES,
+    _TRIAL_LIMIT,
     DiophantineEquation,
     MutationTree,
     NonIntegral,
@@ -90,6 +92,11 @@ class TestSquareFree:
     def test_169(self):
         d = square_free_decompose(169)
         assert (d.c, d.a) == (1, 13)
+
+    def test_trial_primes_match_trial_division(self):
+        assert _SMALL_PRIMES == tuple(
+            p for p in range(2, _TRIAL_LIMIT)
+            if all(p % q for q in range(2, isqrt(p) + 1)))
 
     @given(st.integers(1, 10**6))
     def test_reconstruction_and_square_freeness(self, n):

@@ -10,7 +10,6 @@ json.dumps.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import random
@@ -216,7 +215,7 @@ def test_tree_rejects_bad_input():
 
 
 def test_tree_node_stores_only_what_cannot_be_recomputed():
-    assert [f.name for f in dataclasses.fields(TreeNode)] == [
+    assert list(TreeNode.__slots__) == [
         "weights", "depth", "parent", "pivot", "truncated"]
     node = TreeNode(weights=(1, 1, 4), depth=1, parent=0, pivot=2)
     assert node.height == 6
