@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
 
@@ -194,6 +195,41 @@ def mutate_solution(eq: DiophantineEquation, s, pivot: int):
     return tuple(out)
 
 
+def slice_roots(eq: DiophantineEquation, x1: int, x2: int):
+    """The integer roots x0 <= x0' (a double root twice) of the equation at
+    fixed (x1, x2), k c0 x0^2 - m x1 x2 x0 + k (c1 x1^2 + c2 x2^2) = 0, from
+    one isqrt, or None. Unless k c0 divides m x1 x2, one may come alone."""
+    x1, x2 = index(x1), index(x2)
+    c0, c1, c2 = eq.c
+    a, b = eq.k * c0, eq.m * x1 * x2
+    disc = b * b - 4 * a * eq.k * (c1 * x1 * x1 + c2 * x2 * x2)
+    if disc < 0 or (s := isqrt(disc)) * s != disc:
+        return None
+    roots = [q for q, r in (divmod(b - s, 2 * a), divmod(b + s, 2 * a)) if not r]
+    return tuple(roots) or None
+
+
+def minimal_solutions(eq: DiophantineEquation, bound: int):
+    """The coprime solutions with every entry in 1..bound that no mutation
+    lowers, in (x1, x2) order, then by x0. By Vieta c_p x_p x_p' = c_i x_i^2
+    + c_j x_j^2, so for square-free c (as derive_equation gives it) a
+    mutation is a weight mutation of the c_i x_i^2, and by the descent
+    lemma only fwps._step at the largest weight can lower them. Positive
+    m, k and c make both roots of a slice positive."""
+    bound = index(bound)
+    c0, c1, c2 = eq.c
+    sols = []
+    for x1 in range(1, bound + 1):
+        for x2 in range(1, bound + 1):
+            for x0 in dict.fromkeys(slice_roots(eq, x1, x2) or ()):
+                if x0 > bound or gcd(gcd(x0, x1), x2) != 1:
+                    continue
+                w = sorted((c0 * x0 * x0, c1 * x1 * x1, c2 * x2 * x2))
+                if w[0] + w[1] >= w[2] or _step(w, 2) is None:
+                    sols.append((x0, x1, x2))
+    return sols
+
+
 def height(weights) -> int:
     """Height of a weight triple: the sum of the weights."""
     return sum(_triple(weights))
@@ -359,15 +395,7 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
 def _weight_decimals():
     """int_to_decimal for the weights of one tree, each distinct weight
     converted once, although a child repeats two of its parent's."""
-    decimals = {}
-
-    def dec(x):
-        text = decimals.get(x)
-        if text is None:
-            text = decimals[x] = int_to_decimal(x)
-        return text
-
-    return dec
+    return lru_cache(maxsize=None)(int_to_decimal)
 
 
 def _tree_json_chunks(tree: MutationTree, quoted: bool = False):

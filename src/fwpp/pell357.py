@@ -10,10 +10,11 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 
-from .diophantine import DiophantineEquation, _solution, mutate_solution, verify_solution
+from .diophantine import (DiophantineEquation, _solution, minimal_solutions,
+                          mutate_solution, slice_roots, verify_solution)
 from .fwps import is_well_formed
 from .lattice import format_ints
 
@@ -37,36 +38,19 @@ def is_solution(s) -> bool:
     return verify_solution(EQUATION, s)
 
 
-def _perfect_square(n: int):
-    if n < 0:
-        return None
-    s = isqrt(n)
-    return s if s * s == n else None
-
-
 def condition_357(a1: int, a2: int):
-    """N >= 0 with 5 a1^2 (a2^2 - 1) + 7 a2^2 (a1^2 - 1) = 3 N^2, or None.
-
-    N = 0 occurs exactly for a1 = a2 = 1 (the zero-discriminant case).
-    """
-    a1, a2 = index(a1), index(a2)
-    lhs = 5 * a1**2 * (a2**2 - 1) + 7 * a2**2 * (a1**2 - 1)
-    if lhs % 3 != 0:
-        return None
-    return _perfect_square(lhs // 3)
+    """N >= 0 with 5 a1^2 (a2^2 - 1) + 7 a2^2 (a1^2 - 1) = 3 N^2, or None:
+    half the gap between the roots 2 a1 a2 -+ N of the quadratic in a0,
+    whose discriminant is 36 N^2. N = 0 exactly at a1 = a2 = 1."""
+    roots = slice_roots(EQUATION, a1, a2)
+    return None if roots is None else (roots[1] - roots[0]) // 2
 
 
 def solve_quadratic_357(a1: int, a2: int) -> QuadraticSlice:
-    """Integer roots of 12 x a1 a2 = 3 x^2 + 5 a1^2 + 7 a2^2.
-
-    The discriminant 144 a1^2 a2^2 - 12 (5 a1^2 + 7 a2^2) is 12 times
-    condition_357's left side: a perfect square 36 N^2 iff that gives N, and
-    then the roots are 2 a1 a2 -+ N.
-    """
+    """Integer roots of 12 x a1 a2 = 3 x^2 + 5 a1^2 + 7 a2^2: the pair
+    2 a1 a2 -+ N of condition_357, or None."""
     a1, a2 = index(a1), index(a2)
-    n = condition_357(a1, a2)
-    roots = None if n is None else (2 * a1 * a2 - n, 2 * a1 * a2 + n)
-    return QuadraticSlice(a1=a1, a2=a2, roots=roots)
+    return QuadraticSlice(a1=a1, a2=a2, roots=slice_roots(EQUATION, a1, a2))
 
 
 def _pell_family(count, coeff, a_fixed_is_a1, var_seeds, m_seeds, c):
@@ -128,23 +112,10 @@ def coprime_implies_well_formed_check(s) -> bool:
 
 
 def solution_weights(s) -> tuple[int, int, int]:
-    a0, a1, a2 = _solution(s)
-    return (3 * a0**2, 5 * a1**2, 7 * a2**2)
+    return tuple(c * a * a for c, a in zip(EQUATION.c, _solution(s)))
 
 
 def scan_components(bound: int):
-    """Brute-force scan of the (a1, a2) grid up to the bound: all components
-    whose smaller solution has every entry <= bound."""
-    comps = []
-    for a1 in range(1, bound + 1):
-        for a2 in range(1, bound + 1):
-            slice_ = solve_quadratic_357(a1, a2)
-            if slice_.roots is None:
-                continue
-            alpha = slice_.roots[0]
-            if alpha < 1 or alpha > bound:
-                continue
-            if gcd(gcd(alpha, a1), a2) != 1:
-                continue
-            comps.append(component_of((alpha, a1, a2)))
-    return comps
+    """The components whose smaller solution has every entry <= bound, in
+    (a1, a2) order; pivots 1 and 2 never give an integer."""
+    return [component_of(s) for s in minimal_solutions(EQUATION, bound)]

@@ -11,6 +11,7 @@ from fwpp.diophantine import (
     derive_equation,
     descend_to_minimal,
     height,
+    minimal_solutions,
     mutate_solution,
 )
 from fwpp.fwps import (
@@ -33,7 +34,13 @@ from fwpp.mutation import (
     enumerate_one_step,
     mutate_with,
 )
-from fwpp.pell357 import EQUATION, component_of, family_a1_fixed, is_solution
+from fwpp.pell357 import (
+    EQUATION,
+    component_of,
+    family_a1_fixed,
+    family_a2_fixed,
+    is_solution,
+)
 
 from dual_map_oracle import pl_dual_map
 from test_diophantine import markov_solutions
@@ -219,3 +226,29 @@ def test_criterion_8_minimal_descent(capsys):
             assert len(decreasing) == 1
 
     _criterion(capsys, 8, "minimal-weight descent", check)
+
+
+def test_criterion_9_hacking_prokhorov_contrast(capsys):
+    # Each of the four Hacking-Prokhorov equations has one minimal solution
+    # (up to the x0 <-> x1 swap when c0 = c1); the 3-5-7 equation has two
+    # infinite Pell families of them.
+    def check():
+        for root, want in [((1, 1, 1), [(1, 1, 1)]), ((1, 1, 2), [(1, 1, 1)]),
+                           ((1, 2, 3), [(1, 1, 1)]),
+                           ((1, 4, 5), [(2, 1, 1), (1, 2, 1)])]:
+            eq, solution, _ = derive_equation(root)
+            assert solution in want
+            assert minimal_solutions(eq, 200) == want, root
+        markov, _, _ = derive_equation((1, 1, 1))
+        assert minimal_solutions(markov, 1) == [(1, 1, 1)]
+
+        bound = 500
+        minimal = minimal_solutions(EQUATION, bound)
+        rows = ([(a0, 1, a2) for a0, a2, _ in family_a1_fixed(8)]
+                + [(a0, a1, 1) for a0, a1, _ in family_a2_fixed(4)])
+        inside = {s for s in rows if max(s) <= bound}
+        assert len(inside) == 5
+        assert inside <= set(minimal)
+        assert len(minimal) > len(minimal_solutions(EQUATION, 150))
+
+    _criterion(capsys, 9, "Hacking-Prokhorov contrast", check)

@@ -402,6 +402,33 @@ def test_sympy_not_imported():
     assert proc.returncode == 0, proc.stderr
 
 
+NON_PRIMITIVE_JSON = '{"vertices": [["2", "0"], ["0", "1"], ["-1", "-1"]]}'
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["tsing", "5", "1", "3"], "", 0),
+    (["analyze", "-"], NON_PRIMITIVE_JSON, 1),
+    (["tree", "1", "1", "1", "--depth=--"], "", 2),
+], ids=["tsing", "non-primitive", "option-dashes"])
+def test_python_m_fwpp(argv, stdin, code):
+    """`python -m fwpp` runs __main__.py, whose sys.exit passes on main's
+    code: 0 with the pinned stdout, 1 with one error line, 2 from argparse."""
+    src = os.path.dirname(os.path.dirname(fwpp.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "fwpp", *argv], input=stdin,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout == (PINNED_DIR / "tsing-513.txt").read_text()
+        assert proc.stderr == ""
+    elif code == 1:
+        assert (proc.stdout, proc.stderr) == ("", "error: vertex (2, 0) is not primitive\n")
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("error: an option was given '--' as its value\n")
+
+
 def test_start_up_imports_stay_light():
     """A bare interpreter (-I -S) that runs one command of each subcommand
     loads none of dataclasses, inspect, typing or sympy: each would add

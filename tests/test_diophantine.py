@@ -21,7 +21,9 @@ from fwpp.diophantine import (
     derive_equation,
     descend_to_minimal,
     height,
+    minimal_solutions,
     mutate_solution,
+    slice_roots,
     square_free_decompose,
     tree_to_dot,
     tree_to_json,
@@ -248,6 +250,57 @@ class TestSolutions:
         eq, _, _ = derive_equation((1, 1, 1))
         with pytest.raises(ValueError, match=f"pivot must be 0, 1 or 2, got {pivot}"):
             mutate_solution(eq, (1, 1, 1), pivot)
+
+
+def minimal_solutions_oracle(eq, bound):
+    """minimal_solutions by brute force: every coprime solution in the box
+    1..bound, in (x1, x2, x0) order, that no mutate_solution lowers
+    sum c_i x_i^2."""
+    def weight(s):
+        return sum(c * x * x for c, x in zip(eq.c, s))
+
+    def lowers(s, pivot):
+        try:
+            return weight(mutate_solution(eq, s, pivot)) < weight(s)
+        except NonIntegral:
+            return False
+
+    box = range(1, bound + 1)
+    return [(x0, x1, x2) for x1 in box for x2 in box for x0 in box
+            if gcd(gcd(x0, x1), x2) == 1 and verify_solution(eq, (x0, x1, x2))
+            and not any(lowers((x0, x1, x2), p) for p in range(3))]
+
+
+class TestMinimalSolutions:
+    @pytest.mark.parametrize("eq, x1, x2, roots", [
+        (DiophantineEquation(m=3, k=1, c=(1, 1, 1), r=1), 1, 1, (1, 2)),
+        (DiophantineEquation(m=12, k=1, c=(3, 5, 7), r=105), 1, 1, (2, 2)),
+        (DiophantineEquation(m=12, k=1, c=(3, 5, 7), r=105), 2, 3, None),
+        (DiophantineEquation(m=12, k=1, c=(3, 5, 7), r=105), 0, 3, None),
+        (DiophantineEquation(m=12, k=1, c=(5, 3, 7), r=105), 3, 4, (1,)),
+    ], ids=["markov", "double-root", "no-square", "negative-discriminant",
+            "one-integer-root"])
+    def test_slice_roots(self, eq, x1, x2, roots):
+        # one-integer-root: 5 x^2 - 144 x + 139 has the roots 1 and 139/5
+        assert slice_roots(eq, x1, x2) == roots
+
+    @pytest.mark.parametrize("weights", [
+        (1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 3), (3, 2, 1), (1, 4, 5),
+        (5, 1, 4), (12, 5, 7), (5, 12, 7), (4, 9, 25)],
+        ids=lambda w: ",".join(map(str, w)))
+    def test_matches_brute_force(self, weights):
+        # every order of the coefficients, and k = 15 for (4, 9, 25)
+        eq, solution, _ = derive_equation(weights)
+        got = minimal_solutions(eq, 30)
+        assert got == minimal_solutions_oracle(eq, 30)
+        assert solution in got
+
+    def test_bounds(self):
+        markov, _, _ = derive_equation((1, 1, 1))
+        assert minimal_solutions(markov, 1) == [(1, 1, 1)]
+        assert minimal_solutions(markov, 0) == []
+        with pytest.raises(TypeError):
+            minimal_solutions(markov, 1.0)
 
 
 class TestHeightAndDescent:

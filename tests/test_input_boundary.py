@@ -2,7 +2,8 @@
 an integer is expected raises TypeError instead of being truncated, and an
 error that quotes integers past Python's 4300-digit int/str limit raises
 its own exception with the integers in the message, not the limit's
-ValueError."""
+ValueError. An integer out of its range (a zero index or count, a
+non-primitive generator, an empty segment) raises ValueError."""
 
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from fwpp.lattice import (
     OriginNotInterior,
     degree,
     dual_polygon,
+    edge_lattice_length,
     format_ints,
     int_to_decimal,
     make_fano_triangle,
@@ -116,6 +118,22 @@ def test_solutions_of_other_lengths_rejected(call, solution):
         call(solution)
     assert type(info.value) is ValueError
     assert format_ints(solution) in str(info.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: square_free_decompose(0), "n must be positive"),
+    (lambda: quotient_singularity(0, 1, 1), "index r must be positive"),
+    (lambda: cone_singularity((2, 0), (0, 1)), "cone generators must be primitive"),
+    (lambda: edge_lattice_length((1, 2), (1, 2)), "the segment has zero length"),
+    (lambda: pell357.family_a1_fixed(0), "count must be >= 1"),
+    (lambda: pell357.family_a2_fixed(0), "count must be >= 1"),
+], ids=["square_free_decompose", "quotient_singularity", "cone_singularity",
+        "edge_lattice_length", "family_a1_fixed", "family_a2_fixed"])
+def test_out_of_range_integers_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 N = 10**4400

@@ -32,6 +32,17 @@ def brute_force_solutions(bound):
     }
 
 
+def quadratic_oracle(a1, a2):
+    """(N, roots) from 5 a1^2 (a2^2 - 1) + 7 a2^2 (a1^2 - 1) = 3 N^2 with
+    N >= 0, the roots of the quadratic in a0 being 2 a1 a2 -+ N; (None,
+    None) when no such N exists."""
+    lhs = 5 * a1**2 * (a2**2 - 1) + 7 * a2**2 * (a1**2 - 1)
+    if lhs < 0 or lhs % 3 or isqrt(lhs // 3) ** 2 != lhs // 3:
+        return None, None
+    n = isqrt(lhs // 3)
+    return n, (2 * a1 * a2 - n, 2 * a1 * a2 + n)
+
+
 class TestEquation:
     def test_matches_weight_derivation(self):
         eq, sol, _ = derive_equation((12, 5, 7))
@@ -57,6 +68,23 @@ class TestCondition:
 
     def test_failure(self):
         assert condition_357(2, 3) is None
+
+    @pytest.mark.parametrize("a1, a2", [(0, 3), (3, 0), (0, 1), (-1, 0)])
+    def test_negative_left_side(self, a1, a2):
+        assert condition_357(a1, a2) is None
+        assert solve_quadratic_357(a1, a2).roots is None
+
+    def test_matches_oracle(self):
+        pairs = [(a1, a2) for a1 in range(-20, 200) for a2 in range(-20, 200)]
+        pairs += [(1, a2) for _, a2, _ in family_a1_fixed(80)]
+        pairs += [(a1, 1) for _, a1, _ in family_a2_fixed(40)]
+        solvable = 0
+        for a1, a2 in pairs:
+            n, roots = quadratic_oracle(a1, a2)
+            assert condition_357(a1, a2) == n, (a1, a2)
+            assert solve_quadratic_357(a1, a2) == (a1, a2, roots), (a1, a2)
+            solvable += n is not None
+        assert solvable > 80 + 40  # the grid holds solvable pairs too
 
     def test_matches_discriminant(self):
         # 3 N^2 condition holds iff the quadratic in a0 has integer roots
@@ -151,6 +179,18 @@ class TestComponents:
             if len(comp.solutions) == 1:
                 singletons.append(comp.solutions[0])
         assert singletons == [(2, 1, 1)]
+
+    @pytest.mark.parametrize("bound", [120, 150, 200, 500])
+    def test_matches_grid_scan(self, bound):
+        # one component per solvable (a1, a2) in the box whose smaller
+        # root is in the box too and coprime to (a1, a2)
+        want = []
+        for a1 in range(1, bound + 1):
+            for a2 in range(1, bound + 1):
+                _, roots = quadratic_oracle(a1, a2)
+                if roots and 1 <= roots[0] <= bound and gcd(gcd(roots[0], a1), a2) == 1:
+                    want.append(component_of((roots[0], a1, a2)))
+        assert scan_components(bound) == want
 
     def test_matches_brute_force(self):
         bound = 120
