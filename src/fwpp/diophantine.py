@@ -211,22 +211,26 @@ def slice_roots(eq: DiophantineEquation, x1: int, x2: int):
 
 def minimal_solutions(eq: DiophantineEquation, bound: int):
     """The coprime solutions with every entry in 1..bound that no mutation
-    lowers, in (x1, x2) order, then by x0. By Vieta c_p x_p x_p' = c_i x_i^2
-    + c_j x_j^2, so for square-free c (as derive_equation gives it) a
-    mutation is a weight mutation of the c_i x_i^2, and by the descent
-    lemma only fwps._step at the largest weight can lower them. Positive
-    m, k and c make both roots of a slice positive."""
+    lowers, in (x1, x2) order, then by x0. By Vieta x_p' = m x_i x_j /
+    (k c_p) - x_p and c_p x_p x_p' = c_i x_i^2 + c_j x_j^2, so a mutation
+    lowers the weights c_i x_i^2 only at the pivot p of the largest, and
+    there iff the other two sum below it and k c_p divides m x_i x_j. This
+    holds for any positive m, k and c, which also make both roots of a
+    slice positive."""
     bound = index(bound)
-    c0, c1, c2 = eq.c
+    m, k, c = eq.m, eq.k, eq.c
     sols = []
     for x1 in range(1, bound + 1):
         for x2 in range(1, bound + 1):
             for x0 in dict.fromkeys(slice_roots(eq, x1, x2) or ()):
                 if x0 > bound or gcd(gcd(x0, x1), x2) != 1:
                     continue
-                w = sorted((c0 * x0 * x0, c1 * x1 * x1, c2 * x2 * x2))
-                if w[0] + w[1] >= w[2] or _step(w, 2) is None:
-                    sols.append((x0, x1, x2))
+                s = (x0, x1, x2)
+                w = [ci * x * x for ci, x in zip(c, s)]
+                p = w.index(max(w))
+                i, j = _OTHERS[p]
+                if w[i] + w[j] >= w[p] or m * s[i] * s[j] % (k * c[p]):
+                    sols.append(s)
     return sols
 
 
@@ -254,35 +258,14 @@ def descend_to_minimal(weights):
     return path
 
 
-class TreeNode:
+class TreeNode(namedtuple("TreeNode", "weights depth parent pivot truncated",
+                          defaults=(None, None, False))):
     """One node of a MutationTree. Only what cannot be recomputed is
     stored: the height is the sum of the weights, and the children of node
     k are the nodes whose parent is k, in index order. pivot is the pivot
-    in the parent's sorted triple. Mutable: build_mutation_tree sets
-    truncated after the node is made."""
+    in the parent's sorted triple."""
 
-    __slots__ = ("weights", "depth", "parent", "pivot", "truncated")
-    __hash__ = None
-
-    def __init__(self, weights, depth, parent=None, pivot=None, truncated=False):
-        self.weights = weights
-        self.depth = depth
-        self.parent = parent
-        self.pivot = pivot
-        self.truncated = truncated
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -337,7 +320,8 @@ def _bound(name, value):
 
 def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTree:
     """Descend to the minimal root, then expand all height-increasing weight
-    mutations breadth-first until a bound is hit (truncated nodes flagged).
+    mutations breadth-first until a bound is hit. A node is truncated when
+    it sits at max_depth or drops a child above max_height.
 
     The degree K = h^2 / (l0 l1 l2) is the same on the whole component, so
     it is read once off the root and each child is a Vieta step
@@ -361,14 +345,11 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
                          f" weights {format_ints(root_w)}")
     deg = Fraction(root_h * root_h, root_w[0] * root_w[1] * root_w[2])
     num, den = deg.numerator, deg.denominator
-    nodes = [TreeNode(weights=root_w, depth=0)]
-    queue = deque([0])
+    nodes = [TreeNode(root_w, 0, truncated=max_depth == 0)]
+    queue = deque([] if max_depth == 0 else [0])
     while queue:
         idx = queue.popleft()
         node = nodes[idx]
-        if max_depth is not None and node.depth >= max_depth:
-            node.truncated = True
-            continue
         # Pivot p raises the height iff li + lj > lp, i.e. 2 lp < height;
         # the root is well-formed and mutation keeps it so.
         w = node.weights
@@ -378,17 +359,16 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
             if 2 * w[pivot] < h and (
                     target := _vieta_step(w, pivot, num, den)) is not None:
                 targets.setdefault(target, pivot)
+        depth = node.depth + 1
+        leaf = depth == max_depth
         for target in sorted(targets):
             if max_height is not None and sum(target) > max_height:
-                node.truncated = True
+                if not node.truncated:
+                    nodes[idx] = node = node._replace(truncated=True)
                 continue
-            nodes.append(TreeNode(
-                weights=target,
-                depth=node.depth + 1,
-                parent=idx,
-                pivot=targets[target],
-            ))
-            queue.append(len(nodes) - 1)
+            nodes.append(TreeNode(target, depth, idx, targets[target], leaf))
+            if not leaf:
+                queue.append(len(nodes) - 1)
     return MutationTree(nodes=nodes)
 
 

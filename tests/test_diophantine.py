@@ -295,6 +295,17 @@ class TestMinimalSolutions:
         assert got == minimal_solutions_oracle(eq, 30)
         assert solution in got
 
+    @pytest.mark.parametrize("m, k, c", [
+        (1, 1, (4, 1, 2)), (6, 1, (4, 1, 1)), (14, 3, (1, 1, 4)),
+        (9, 2, (1, 1, 8)), (12, 1, (1, 9, 2)), (22, 3, (1, 4, 1)),
+        (23, 3, (4, 1, 2)),
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_matches_brute_force_for_non_square_free_c(self, m, k, c):
+        # A square factor of c_p lets the weights c_i x_i^2 take a step that
+        # the solution cannot: the step must be read off the solution.
+        eq = DiophantineEquation(m=m, k=k, c=c, r=1)
+        assert minimal_solutions(eq, 20) == minimal_solutions_oracle(eq, 20)
+
     def test_bounds(self):
         markov, _, _ = derive_equation((1, 1, 1))
         assert minimal_solutions(markov, 1) == [(1, 1, 1)]

@@ -1,5 +1,4 @@
-"""The records fwpp returns: named tuples, immutable, with stable reprs;
-TreeNode is the one mutable record."""
+"""The records fwpp returns: named tuples, immutable, with stable reprs."""
 
 import re
 from fractions import Fraction
@@ -27,7 +26,7 @@ from fwpp.pell357 import Component, QuadraticSlice, component_of, solve_quadrati
 
 
 def _records():
-    """One instance of each immutable record, built as the library builds it."""
+    """One instance of each record, built as the library builds it."""
     eq, _, derivation = derive_equation((1, 1, 1))
     return [
         Factor(w=(0, 1), f=(1, 0), length=1),
@@ -39,13 +38,14 @@ def _records():
         solve_quadratic_357(1, 1),
         component_of((2, 1, 1)),
         build_mutation_tree((1, 1, 1), max_depth=1),
+        build_mutation_tree((1, 1, 1), max_depth=1).nodes[1],
     ]
 
 
 def test_records_are_named_tuples_of_the_public_types():
     types = [Factor, QuotientSingularity, FwpsInvariants, SquareFreeDecomposition,
              DiophantineEquation, GeneralDerivation, QuadraticSlice, Component,
-             MutationTree]
+             MutationTree, TreeNode]
     for record, cls in zip(_records(), types, strict=True):
         assert type(record) is cls
         assert isinstance(record, tuple)
@@ -124,15 +124,3 @@ def test_factor_coerces_lists_and_booleans():
     assert all(type(x) is int for x in (*factor.w, *factor.f, factor.length))
     assert factor._replace(f=[-1, 0]).f == (-1, 0)
 
-
-def test_tree_node_is_mutable_and_compares_field_by_field():
-    node = TreeNode(weights=(1, 1, 4), depth=1, parent=0, pivot=2)
-    assert node == TreeNode((1, 1, 4), 1, 0, 2, False)
-    assert node != TreeNode((1, 1, 4), 1, 0, 2, True)
-    assert node != ((1, 1, 4), 1, 0, 2, False)
-    node.truncated = True
-    assert node.truncated and node.height == 6
-    with pytest.raises(TypeError):
-        hash(node)
-    with pytest.raises(AttributeError):
-        node.extra = 1

@@ -151,3 +151,27 @@ def test_a_stray_integer_read_is_reported():
         "lattice.py: line 3", "lattice.py: line 4", "lattice.py: line 5"]
     assert _stray_integer_reads(ast.parse(source), "cli.py") == [
         "cli.py: line 2", "cli.py: line 3", "cli.py: line 4", "cli.py: line 5"]
+
+
+def _main_guards(tree):
+    """The line of each module-level `if __name__ == "__main__":`."""
+    return [node.lineno for node in tree.body
+            if isinstance(node, ast.If) and isinstance(test := node.test, ast.Compare)
+            and isinstance(test.left, ast.Name) and test.left.id == "__name__"
+            and any(isinstance(c, ast.Constant) and c.value == "__main__"
+                    for c in test.comparators)]
+
+
+def test_only_dunder_main_is_an_entry_point():
+    """`python -m fwpp` runs __main__.py and the console script calls
+    cli.main, so no other module carries a second entry point."""
+    assert [f"{p.name}: line {line}" for p in PACKAGE if p.name != "__main__.py"
+            for line in _main_guards(ast.parse(p.read_text(encoding="utf-8")))] == []
+
+
+def test_a_main_guard_is_reported():
+    source = ("import sys\n"
+              "if __name__ == '__main__':\n    sys.exit(0)\n"
+              "if __name__ == 'fwpp':\n    pass\n"
+              "def f():\n    if __name__ == '__main__':\n        pass\n")
+    assert _main_guards(ast.parse(source)) == [2]

@@ -66,7 +66,7 @@ def tree_oracle(weights, max_depth=None, max_height=None):
         idx = queue.popleft()
         node = nodes[idx]
         if max_depth is not None and node.depth >= max_depth:
-            node.truncated = True
+            nodes[idx] = node = node._replace(truncated=True)
             continue
         targets = {}
         for pivot in range(3):
@@ -80,7 +80,7 @@ def tree_oracle(weights, max_depth=None, max_height=None):
             if target in seen:
                 continue
             if max_height is not None and height(target) > max_height:
-                node.truncated = True
+                nodes[idx] = node = node._replace(truncated=True)
                 continue
             seen.add(target)
             nodes.append(TreeNode(weights=target, depth=node.depth + 1,
@@ -215,7 +215,7 @@ def test_tree_rejects_bad_input():
 
 
 def test_tree_node_stores_only_what_cannot_be_recomputed():
-    assert list(TreeNode.__slots__) == [
+    assert list(TreeNode._fields) == [
         "weights", "depth", "parent", "pivot", "truncated"]
     node = TreeNode(weights=(1, 1, 4), depth=1, parent=0, pivot=2)
     assert node.height == 6
