@@ -13,8 +13,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
 
-from .fwps import (_OTHERS, _pivot, _positive_weights, _step, _triple,
-                   _well_formed_weights, is_well_formed)
+from .fwps import _OTHERS, _pivot, _step, _triple, _well_formed_weights
 from .lattice import format_ints, int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
@@ -62,9 +61,10 @@ class DiophantineEquation(namedtuple("DiophantineEquation", "m k c r")):
 
 
 GeneralDerivation = namedtuple("GeneralDerivation", "d S T g")
-GeneralDerivation.__doc__ = """Bookkeeping of the general (not necessarily
-well-formed) derivation; d = S = T = 1 for well-formed weights and g is
-square-free."""
+GeneralDerivation.__doc__ = """Bookkeeping of the general derivation
+S m x0 x1 x2 = T k (c0 x0^2 + c1 x1^2 + c2 x2^2), with d the gcd of the
+weights and g square-free. derive_equation takes only well-formed weights,
+so it always returns (1, 1, 1, r)."""
 
 
 def square_free_decompose(n: int) -> SquareFreeDecomposition:
@@ -105,28 +105,6 @@ def square_free_decompose(n: int) -> SquareFreeDecomposition:
     return SquareFreeDecomposition(c=c, a=a)
 
 
-def _derive_direct(lams):
-    """derive_equation by factoring the weights themselves."""
-    d = gcd(gcd(lams[0], lams[1]), lams[2])
-    decs = [square_free_decompose(l // d) for l in lams]
-    c = tuple(dec.c for dec in decs)
-    a = tuple(dec.a for dec in decs)
-
-    q = Fraction(sum(lams) ** 2, lams[0] * lams[1] * lams[2])
-    num = square_free_decompose(q.numerator)
-    den = square_free_decompose(q.denominator)
-    m, k, r = num.a * num.c, den.a, num.c * den.c
-
-    prod_c = square_free_decompose(c[0] * c[1] * c[2])
-    dr = square_free_decompose(d * r)
-    assert prod_c.c == dr.c  # the lemma's square-free parts agree
-    derivation = GeneralDerivation(d=d, S=prod_c.a, T=dr.a, g=prod_c.c)
-
-    eq = DiophantineEquation(m=m, k=k, c=c, r=r)
-    solution = tuple(d * ai for ai in a)
-    return eq, solution, derivation
-
-
 def _square_class(lam: int, parts) -> tuple[int, int]:
     """(c, s) with c among the square-free parts and lam = c * s^2."""
     for c in parts:
@@ -137,25 +115,26 @@ def _square_class(lam: int, parts) -> tuple[int, int]:
 
 
 def derive_equation(weights):
-    """Equation, solution, and derivation data for a positive weight triple.
+    """Equation, solution, and derivation data for a well-formed weight
+    triple.
 
     The order of the input weights is preserved in the coefficients c_i and
     in the solution, so callers can keep the labelling of their plane.
 
-    Of well-formed weights only the minimal weights of the component are
-    factored. The equation is an invariant of the component: the degree is,
-    and a mutation lambda_p -> lambda_p' keeps the square-free part, since
+    Only the minimal weights of the component are factored. The equation
+    is an invariant of the component: the degree is, and a mutation
+    lambda_p -> lambda_p' keeps the square-free part, since
     lambda_p * lambda_p' = (lambda_i + lambda_j)^2. So the square-free
     parts c0, c1, c2 come from the minimal weights, and each input weight
     takes the one part that leaves a square quotient. Well-formed weights
     are pairwise coprime, so d = 1, r = c0 c1 c2 is square-free (S = T = 1,
     g = r), and with the minimal weights' height h and square roots a0, a1,
     a2, m / k = h / (a0 a1 a2) in lowest terms. Weights that are not
-    well-formed are factored as they are, with their height and degree.
+    well-formed raise ValueError, as in every weight function: they are the
+    weights of no fake weighted projective plane, and their S or T is
+    mostly not 1, which no DiophantineEquation can state.
     """
-    lams = _positive_weights(weights)
-    if not is_well_formed(lams):
-        return _derive_direct(lams)
+    lams = _well_formed_weights(weights)
     root = descend_to_minimal(lams)[-1]
     decs = [square_free_decompose(l) for l in root]
     parts = tuple(dec.c for dec in decs)
@@ -248,7 +227,7 @@ def descend_to_minimal(weights):
     descent lemma). Mutation keeps weights well-formed, so only the input
     is checked.
     """
-    w = _well_formed_weights(weights)
+    w = tuple(sorted(_well_formed_weights(weights)))
     path = [w]
     while w[0] + w[1] < w[2]:
         w = _step(w, 2)

@@ -55,23 +55,13 @@ class QuotientSingularity(namedtuple("QuotientSingularity", "r a")):
 FwpsInvariants = namedtuple("FwpsInvariants", "weights mult degree")
 
 
-def _triple(values, what="three weights", positive=False) -> tuple[int, int, int]:
+def _triple(values, what="three weights") -> tuple[int, int, int]:
     """The one reader of a triple: three integers read with operator.index,
-    in the order given. Other lengths raise, and so does an entry below 1
-    when positive."""
+    in the order given. Other lengths raise."""
     t = tuple(index(x) for x in values)
-    if len(t) != 3 or positive and min(t) < 1:
+    if len(t) != 3:
         raise ValueError(f"need {what}, got {format_ints(t)}")
     return t
-
-
-def _positive_weights(weights) -> tuple[int, int, int]:
-    """The one reader of a weight triple, which keeps its order."""
-    return _triple(weights, "three positive weights", positive=True)
-
-
-def canon_weights(weights) -> tuple[int, int, int]:
-    return tuple(sorted(_positive_weights(weights)))
 
 
 def is_well_formed(weights) -> bool:
@@ -80,12 +70,26 @@ def is_well_formed(weights) -> bool:
     return gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1
 
 
+def _well_formed_weights(weights) -> tuple[int, int, int]:
+    """The one reader of a weight triple: three positive, pairwise coprime
+    integers, in the order given. The weights of every fake weighted
+    projective plane are such a triple (see vertex_weights)."""
+    w = _triple(weights)
+    if min(w) < 1 or not is_well_formed(w):
+        raise ValueError(f"weights {format_ints(w)} are not well-formed")
+    return w
+
+
 def vertex_weights(P) -> tuple[tuple[int, int, int], int]:
     """Per-vertex weights, in the hull's vertex order, and the multiplicity
     of the Fano triangle P, read by lattice.fano_vertices.
 
     lambda_i is the opposite edge determinant divided by the gcd g of the
     three determinants; g is the index of the vertex-generated sublattice.
+    The weights are well-formed: positive, since the hull turns
+    counterclockwise round the origin, and pairwise coprime, since a prime
+    dividing two of them divides the third times its primitive vertex in
+    lambda_0 v0 + lambda_1 v1 + lambda_2 v2 = 0, so the third too.
     """
     vs = fano_vertices(P)
     if len(vs) != 3:
@@ -100,7 +104,7 @@ def weights_of(P) -> FwpsInvariants:
     """Weights, multiplicity, and degree of the fake weighted projective
     plane defined by the triangle."""
     lams, mult = vertex_weights(P)
-    w = canon_weights(lams)
+    w = tuple(sorted(lams))
     deg = Fraction(sum(w) ** 2, w[0] * w[1] * w[2] * mult)
     return FwpsInvariants(weights=w, mult=mult, degree=deg)
 
@@ -160,13 +164,6 @@ def _step(w, pivot):
     return (li, q, lj) if q <= lj else (li, lj, q)
 
 
-def _well_formed_weights(weights) -> tuple[int, int, int]:
-    w = canon_weights(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"weights {format_ints(w)} are not well-formed")
-    return w
-
-
 def _pivot(pivot) -> int:
     """The one reader of a pivot: 0, 1 or 2, read with operator.index."""
     if (p := index(pivot)) not in (0, 1, 2):
@@ -177,7 +174,7 @@ def _pivot(pivot) -> int:
 def mutate_weights(weights, pivot: int) -> tuple[int, int, int]:
     """One-step mutation of well-formed weights at the given pivot of the
     sorted triple: (li, lj, (li+lj)^2 / lp), sorted."""
-    w = _well_formed_weights(weights)
+    w = tuple(sorted(_well_formed_weights(weights)))
     pivot = _pivot(pivot)
     target = _step(w, pivot)
     if target is None:
@@ -195,8 +192,8 @@ def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
     For mult = 1 this decides geometric existence; for mult > 1 it is only
     a necessary condition and a geometric witness is required.
     """
-    weights = _well_formed_weights(
-        X.weights if isinstance(X, FwpsInvariants) else X)
+    weights = tuple(sorted(_well_formed_weights(
+        X.weights if isinstance(X, FwpsInvariants) else X)))
     # 1/lp(li, lj) = 1/lp(1, lj/li) is T iff lp | (1 + lj/li)^2, iff
     # lp | (li + lj)^2, since li is a unit mod lp: _step's own test.
     return [(pivot, target, True) for pivot in range(3)
@@ -206,9 +203,7 @@ def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
 def wps_triangle(l0: int, l1: int, l2: int) -> FanoPolygon:
     """A Fano triangle whose spanning fan defines P(l0, l1, l2); requires
     well-formed weights."""
-    l0, l1, l2 = w = _positive_weights((l0, l1, l2))
-    if not is_well_formed(w):
-        raise ValueError(f"weights {format_ints(w)} must be positive and well-formed")
+    l0, l1, l2 = _well_formed_weights((l0, l1, l2))
     v1: Point = (1, 0)
     c = (-l1 * pow(l2, -1, l0)) % l0
     v2: Point = (c, l0)

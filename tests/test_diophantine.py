@@ -29,8 +29,8 @@ from fwpp.diophantine import (
     tree_to_json,
     verify_solution,
 )
-from fwpp.fwps import NotDivisible, mutate_weights
-from fwpp.lattice import decimal_to_int
+from fwpp.fwps import NotDivisible, is_well_formed, mutate_weights
+from fwpp.lattice import decimal_to_int, format_ints
 
 
 def markov_solutions(bound):
@@ -77,9 +77,19 @@ def derive_oracle(weights):
     return ((num_a * num_c, den_a, c, r), tuple(d * x for x in a), (d, S, T, g))
 
 
-def derived(weights):
-    eq, sol, deriv = derive_equation(weights)
-    return ((eq.m, eq.k, eq.c, eq.r), sol, (deriv.d, deriv.S, deriv.T, deriv.g))
+def assert_derives_as_oracle(w):
+    """derive_equation on well-formed weights equals derive_oracle, its
+    solution solves its equation and its derivation is (1, 1, 1, r); other
+    weights raise the contract's ValueError."""
+    if not is_well_formed(w):
+        with pytest.raises(ValueError) as info:
+            derive_equation(w)
+        assert str(info.value) == f"weights {format_ints(w)} are not well-formed"
+        return
+    eq, sol, deriv = derived = derive_equation(w)
+    assert derived == derive_oracle(w), w
+    assert verify_solution(eq, sol), w
+    assert deriv == (1, 1, 1, eq.r), w
 
 
 class TestSquareFree:
@@ -161,10 +171,10 @@ class TestDeriveEquation:
         for P in corpus[:60]:
             w = weights_of(P).weights
             eq, sol, deriv = derive_equation(w)
-            if deriv.d == 1 and deriv.S == 1 and deriv.T == 1:
-                assert Fraction(eq.m**2, eq.r * eq.k**2) == \
-                    Fraction(sum(w) ** 2, w[0] * w[1] * w[2])
-            assert verify_solution(eq, sol) or deriv.S != 1 or deriv.T != 1
+            assert deriv == (1, 1, 1, eq.r)
+            assert Fraction(eq.m**2, eq.r * eq.k**2) == \
+                Fraction(sum(w) ** 2, w[0] * w[1] * w[2])
+            assert verify_solution(eq, sol)
 
     def test_equation_invariant_under_weight_mutation(self):
         for w in [(1, 1, 1), (1, 1, 4), (5, 7, 12), (1, 4, 25), (2, 3, 5)]:
@@ -180,7 +190,8 @@ class TestDeriveEquation:
 
 
 class TestDeriveFromMinimalRoot:
-    """derive_equation against the direct factorisation of every weight."""
+    """derive_equation against the direct factorisation of every weight,
+    on well-formed weights, and its refusal of all others."""
 
     @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3),
                                       (3, 5, 7), (5, 7, 12)],
@@ -189,15 +200,15 @@ class TestDeriveFromMinimalRoot:
         rng = random.Random(sum(root))
         for node in build_mutation_tree(root, max_depth=7).nodes:
             for w in (node.weights, tuple(rng.sample(node.weights, 3))):
-                assert derived(w) == derive_oracle(w), w
+                assert_derives_as_oracle(w)
 
     def test_all_small_triples(self):
         for w in itertools.product(range(1, 31), repeat=3):
-            assert derived(w) == derive_oracle(w), w
+            assert_derives_as_oracle(w)
 
     @given(st.tuples(*[st.integers(1, 10**7)] * 3))
     def test_random_triples(self, w):
-        assert derived(w) == derive_oracle(w)
+        assert_derives_as_oracle(w)
 
     def test_max_branch_step_11_is_fast(self, max_growth_branch):
         w = max_growth_branch[11]
@@ -222,8 +233,8 @@ class TestDeriveFromMinimalRoot:
             return factorint(m, *args, **kwargs)
 
         monkeypatch.setattr(sympy, "factorint", spy)
-        assert derived((1, 1, n)) == ((n + 2, 1, (1, 1, n), n), (1, 1, 1),
-                                      (1, 1, 1, n))
+        assert derive_equation((1, 1, n)) == (
+            (n + 2, 1, (1, 1, n), n), (1, 1, 1), (1, 1, 1, n))
         assert factored == [n]
 
 

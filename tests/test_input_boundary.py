@@ -22,7 +22,6 @@ from fwpp.diophantine import (
 )
 from fwpp.fwps import (
     DegenerateCone,
-    canon_weights,
     cone_singularity,
     is_well_formed,
     mutate_weights,
@@ -57,7 +56,6 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: make_fano_triangle((1.7, -1), (-1, 2), (0, -1)),
     lambda: make_fano_triangle((1, -1), (-1, 2), (0, Fraction(-3, 2))),
     lambda: Factor(w=(0, 1), f=(1, 0), length=1.0),
-    lambda: canon_weights((1.5, 2, 3)),
     lambda: is_well_formed((1.0, 2, 3)),
     lambda: wps_triangle(1.9, 1, 1),
     lambda: mutate_weights((1.0, 1, 1), 0),
@@ -85,7 +83,7 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: square_free_decompose(Fraction(12)),
     lambda: pell357.condition_357(Fraction(1), 4),
     lambda: pell357.solve_quadratic_357(Fraction(1), 4),
-], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor", "canon_weights",
+], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor",
         "is_well_formed", "wps_triangle", "mutate_weights", "mutate_weights-pivot",
         "derive_equation", "verify_solution", "mutate_solution",
         "mutate_solution-pivot", "height", "is_solution",
@@ -140,7 +138,6 @@ N = 10**4400
 
 
 @pytest.mark.parametrize("call, error, quoted", [
-    (lambda: canon_weights((N, 0, 1)), ValueError, N),
     (lambda: wps_triangle(2 * N, 2, 1), ValueError, 2 * N),
     (lambda: derive_equation((0, 1, N)), ValueError, N),
     (lambda: find_factors(P2, (2 * N, 2)), ValueError, 2 * N),
@@ -160,7 +157,7 @@ N = 10**4400
     (lambda: mutate_solution(MARKOV, (1, 1, 1), N), ValueError, N),
     (lambda: build_mutation_tree((1, 1, 1), max_depth=-N), ValueError, -N),
     (lambda: build_mutation_tree((1, 1, 1), max_height=-N), ValueError, -N),
-], ids=["canon_weights", "wps_triangle", "derive_equation", "find_factors",
+], ids=["wps_triangle", "derive_equation", "find_factors",
         "validate_fano_polygon", "cone_singularity", "component_of",
         "coprime_implies_well_formed_check", "mutate_solution",
         "mutate_solution-fraction", "mutate_with", "apply_dual_map",
