@@ -65,9 +65,10 @@ def _triple(values, what="three weights") -> tuple[int, int, int]:
 
 
 def is_well_formed(weights) -> bool:
-    """True iff the weights are pairwise coprime."""
+    """True iff the weights are positive and pairwise coprime."""
     l0, l1, l2 = _triple(weights)
-    return gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1
+    return (min(l0, l1, l2) >= 1
+            and gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1)
 
 
 def _well_formed_weights(weights) -> tuple[int, int, int]:
@@ -75,7 +76,7 @@ def _well_formed_weights(weights) -> tuple[int, int, int]:
     integers, in the order given. The weights of every fake weighted
     projective plane are such a triple (see vertex_weights)."""
     w = _triple(weights)
-    if min(w) < 1 or not is_well_formed(w):
+    if not is_well_formed(w):
         raise ValueError(f"weights {format_ints(w)} are not well-formed")
     return w
 

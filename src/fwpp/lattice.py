@@ -134,9 +134,17 @@ def validate_fano_polygon(vertices) -> None:
 class FanoPolygon(tuple):
     """A checked Fano polygon, of any vertex count: primitive vertices, the
     origin strictly interior, convex, counterclockwise from the lex-min
-    vertex. It is a tuple of points, so it equals and hashes as one."""
+    vertex. It is a tuple of points, so it equals and hashes as one.
+    FanoPolygon(points) is the convex hull of a sequence of lattice points,
+    in any order and with any points inside, checked by
+    validate_fano_polygon."""
 
     __slots__ = ()
+
+    def __new__(cls, points):
+        vs = convex_hull(polygon_vertices(points))
+        validate_fano_polygon(vs)
+        return super().__new__(cls, vs)
 
     @property
     def vertices(self) -> FanoPolygon:
@@ -163,13 +171,8 @@ def polygon_vertices(P):
 
 def fano_vertices(P) -> FanoPolygon:
     """P as a FanoPolygon: a FanoPolygon as it is, and a bare sequence of
-    lattice points, in any order and with any points inside, as its convex
-    hull, checked by validate_fano_polygon."""
-    if isinstance(P, FanoPolygon):
-        return P
-    vs = convex_hull(polygon_vertices(P))
-    validate_fano_polygon(vs)
-    return FanoPolygon(vs)
+    lattice points as FanoPolygon(P), its checked hull."""
+    return P if isinstance(P, FanoPolygon) else FanoPolygon(P)
 
 
 def _rational(x):

@@ -11,16 +11,18 @@ moves the chain in front of f by v -> v + l*w(v)*f:
 
 This costs O(k) in the number of vertices, whatever the height range. The
 inner normal w of an edge of lattice length L at height h (lattice.edges)
-admits the lengths l <= L // h, and any other width none. The factor -f is a
-translate of +f by a vector at height zero, so it gives a unimodularly
-equivalent polygon; factor discovery returns f = (w1, -w0) only. The
-widths are the integer edge normals, so this module works in integers
-only. The map a mutation induces on the dual polygon is by definition the
-dual of the mutated polygon: apply_dual_map is lattice.dual_polygon of
-mutate_with's output, and the rational arithmetic stays in dual_polygon.
-A polygon is checked once, as its hull, by lattice.fano_vertices; a mutation
-of a Fano polygon is Fano (same reference), so mutate_with returns its output
-as a FanoPolygon, unchecked, and an output fed back is not read again.
+admits the lengths l <= L // h, and any other width none, so
+enumerate_one_step reads all its factors off one edge table per call. The
+factor -f is a translate of +f by a vector at height zero, so it gives a
+unimodularly equivalent polygon; factor discovery returns f = (w1, -w0)
+only. The widths are the integer edge normals, so this module works in
+integers only. The map a mutation induces on the dual polygon is by
+definition the dual of the mutated polygon: apply_dual_map is
+lattice.dual_polygon of mutate_with's output, and the rational arithmetic
+stays in dual_polygon. A polygon is checked once, as its hull, by
+lattice.fano_vertices; a mutation of a Fano polygon is Fano (same
+reference), so mutate_with returns its output as a FanoPolygon, unchecked,
+and an output fed back is not read again.
 Unimodular equivalence is asked only of Fano polygons, so canonical_form and
 unimodular_equivalent read their input by fano_vertices as well.
 """
@@ -97,14 +99,22 @@ def _max_length(P, w) -> int:
     return next((L // h for u, h, L in edges(P) if u == w), 0)
 
 
+def _factors(w, lengths) -> list[Factor]:
+    """The factors of the given feasible lengths for the width w, a
+    primitive pair of ints, in the direction f = (w1, -w0). Such an f is
+    primitive at height zero, so Factor's checks could not fail: they are
+    skipped."""
+    f = (w[1], -w[0])
+    return [tuple.__new__(Factor, (w, f, length)) for length in lengths]
+
+
 def find_factors(P, w) -> list[Factor]:
-    """All factors of P with respect to w, one per feasible length, in the
-    direction f = (w1, -w0). Empty when none."""
+    """All factors of P with respect to w, one per feasible length up to
+    _max_length, in the direction f = (w1, -w0). Empty when none."""
     if not is_primitive(w):
         raise ValueError(f"width vector {format_ints(w)} must be primitive")
-    f = (w[1], -w[0])
-    l_max = _max_length(P, w)
-    return [Factor(w=w, f=f, length=length) for length in range(1, l_max + 1)]
+    w = (index(w[0]), index(w[1]))
+    return _factors(w, range(1, _max_length(P, w) + 1))
 
 
 def mutate_with(P, factor: Factor) -> FanoPolygon:
@@ -138,7 +148,8 @@ def _mutate_core(vs, factor: Factor) -> FanoPolygon:
             points.append((x, y))
         if front:
             points.append((x + h * dx, y + h * dy))
-    return FanoPolygon(convex_hull(points))
+    # a mutation of a Fano polygon is Fano, so its hull is not checked
+    return tuple.__new__(FanoPolygon, convex_hull(points))
 
 
 def apply_dual_map(P, factor: Factor):
@@ -202,13 +213,28 @@ def unimodular_equivalent(A, B) -> bool:
 
 
 def enumerate_one_step(P, triangles_only: bool = False):
-    """All one-step mutations of P over admissible widths and factors,
-    deduplicated up to unimodular equivalence of the outputs. The factors
-    find_factors gives are feasible, so they skip mutate_with's check."""
+    """All one-step mutations of P, deduplicated up to unimodular
+    equivalence of the outputs, from one edge table: the row (w, h, L) of
+    lattice.edges gives the feasible factors of lengths 1 to L // h, so
+    they skip mutate_with's check.
+
+    triangles_only keeps the outputs that are triangles, found by the
+    paper's T-singularity criterion. The mutation of length l along the
+    row keeps a bottom edge of length L - l*h and stretches the top by l
+    times its height, so it has two vertices at each end unless l*h = L.
+    Only a row with h | L can give a triangle, by its factor of length
+    L // h; for a triangle P it always does, and the outputs of a larger
+    polygon are still checked."""
     P = fano_vertices(P)
     seen = {}
-    for w in admissible_widths(P):
-        for factor in find_factors(P, w):
+    for w, h, L in sorted(edges(P)):
+        if not triangles_only:
+            lengths = range(1, L // h + 1)
+        elif L % h == 0:
+            lengths = (L // h,)
+        else:
+            continue
+        for factor in _factors(w, lengths):
             Q = _mutate_core(P, factor)
             if triangles_only and len(Q) != 3:
                 continue

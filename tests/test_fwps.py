@@ -88,6 +88,10 @@ class TestWellFormed:
     def test_3511(self):
         assert is_well_formed((3, 5, 11))
 
+    @pytest.mark.parametrize("weights", [(0, 1, 1), (-1, 1, 1)])
+    def test_weights_must_be_positive(self, weights):
+        assert not is_well_formed(weights)
+
 
 class TestConeSingularity:
     def test_smooth(self):

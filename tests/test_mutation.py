@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fwpp import lattice, mutation
 from fwpp.diophantine import build_mutation_tree
@@ -38,6 +38,7 @@ from fwpp.mutation import (
     unimodular_equivalent,
 )
 from dual_map_oracle import pl_dual_map
+from enumerate_oracle import enumerate_oracle
 from slice_oracle import apply_matrix, egcd, lattice_slice_interval, width_transform
 
 P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
@@ -339,6 +340,10 @@ class TestDualMap:
             apply_dual_map(vertices, Factor(w=(0, 1), f=(1, 0), length=1))
 
 
+_primitive_points = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+    lattice.is_primitive)
+
+
 class TestEnumerate:
     def test_p2_single_class(self):
         results = enumerate_one_step(P2, triangles_only=True)
@@ -352,25 +357,62 @@ class TestEnumerate:
     def test_fake_plane_rigid(self):
         assert enumerate_one_step(T35) == []
 
-    def test_one_edge_table_per_width(self, corpus, monkeypatch):
-        # one table for admissible_widths and one per width in find_factors;
-        # the factors found are feasible, so building them reads none
+    def test_one_edge_table_per_call(self, corpus, monkeypatch):
+        # every factor is read off the one table, and built without
+        # Factor's checks, so no primitivity test runs in mutation
         polygons = list(corpus) + [Q for P in corpus[:60]
                                    for _, Q in enumerate_one_step(P)]
         assert any(len(Q) > 3 for Q in polygons)
-        expected = [1 + len(admissible_widths(P)) for P in polygons]
-        tables = []
-        real = mutation.edges
-
-        def counted(P):
-            tables[-1] += 1
-            return real(P)
-
-        monkeypatch.setattr(mutation, "edges", counted)
+        calls = Counter()
+        for name in ("edges", "is_primitive"):
+            def counted(*args, _real=getattr(mutation, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mutation, name, counted)
         for P in polygons:
-            tables.append(0)
-            enumerate_one_step(P)
-        assert tables == expected
+            for triangles_only in (False, True):
+                calls.clear()
+                enumerate_one_step(P, triangles_only)
+                assert calls == Counter(edges=1)
+
+    @pytest.mark.parametrize("triangles_only", [False, True])
+    def test_matches_oracle_on_corpus_and_outputs(self, corpus, triangles_only):
+        polygons = list(corpus) + [Q for P in corpus
+                                   for _, Q in enumerate_one_step(P)]
+        assert any(len(Q) > 3 for Q in polygons)
+        kept = 0
+        for P in polygons:
+            want = enumerate_oracle(P, triangles_only)
+            kept += len(want)
+            assert enumerate_one_step(P, triangles_only) == want
+        assert kept > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_primitive_points, min_size=3, max_size=8), st.booleans())
+    def test_matches_oracle_on_drawn_hulls(self, points, triangles_only):
+        # the hull of primitive points has primitive vertices; it is a Fano
+        # polygon when the origin lies inside
+        try:
+            P = fano_vertices(points)
+        except OriginNotInterior:
+            assume(False)
+        assert enumerate_one_step(P, triangles_only) == enumerate_oracle(
+            P, triangles_only)
+
+    def test_triangle_criterion(self, corpus):
+        # a mutation along the row (w, h, L) can be a triangle only if its
+        # length is L / h, and for a triangle it then is one
+        polygons = list(corpus) + [Q for P in corpus
+                                   for _, Q in enumerate_one_step(P)]
+        total = 0
+        for P in polygons:
+            rows = {w: (h, L) for w, h, L in lattice.edges(P)}
+            for factor, Q in enumerate_one_step(P):
+                h, L = rows[factor.w]
+                if len(Q) == 3 or len(P) == 3:
+                    assert (len(Q) == 3) == (factor.length * h == L)
+                total += len(Q) == 3 and len(P) > 3
+        assert total > 0
 
     @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3)])
     def test_geometric_tree_matches_weight_tree(self, root):
@@ -479,6 +521,16 @@ class TestFanoPolygon:
                   mutate_with(list(P2), factor)):
             assert type(P) is FanoPolygon
             assert P.vertices is P
+
+    def test_constructor_checks_the_hull(self):
+        with pytest.raises(NonPrimitiveVertex):
+            weights_of(FanoPolygon([(2, 0), (0, 1), (-1, -1)]))
+        with pytest.raises(OriginNotInterior):
+            degree(FanoPolygon([(1, 0), (0, 1)]))
+        points = [(0, 1), (0, 0), (-1, -1), (1, 0)]
+        P = FanoPolygon(points)
+        assert type(P) is FanoPolygon
+        assert P == fano_vertices(points) == ((-1, -1), (1, 0), (0, 1))
 
     def test_one_validation_of_a_bare_list_none_of_an_output(self, corpus, reads):
         for P in corpus:
