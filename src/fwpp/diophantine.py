@@ -7,7 +7,7 @@ with DOT/JSON export.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -325,10 +325,11 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     deg = Fraction(root_h * root_h, root_w[0] * root_w[1] * root_w[2])
     num, den = deg.numerator, deg.denominator
     nodes = [TreeNode(root_w, 0, truncated=max_depth == 0)]
-    queue = deque([] if max_depth == 0 else [0])
-    while queue:
-        idx = queue.popleft()
-        node = nodes[idx]
+    # nodes are appended breadth-first, so the list is its own queue, and
+    # past the first node at max_depth every node is a leaf
+    for idx, node in enumerate(nodes):
+        if node.depth == max_depth:
+            break
         # Pivot p raises the height iff li + lj > lp, i.e. 2 lp < height;
         # the root is well-formed and mutation keeps it so.
         w = node.weights
@@ -346,8 +347,6 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
                     nodes[idx] = node = node._replace(truncated=True)
                 continue
             nodes.append(TreeNode(target, depth, idx, targets[target], leaf))
-            if not leaf:
-                queue.append(len(nodes) - 1)
     return MutationTree(nodes=nodes)
 
 

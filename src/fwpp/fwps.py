@@ -18,7 +18,6 @@ from .lattice import (
     Point,
     bezout,
     det,
-    fano_vertices,
     format_ints,
     int_to_decimal,
     is_primitive,
@@ -83,7 +82,7 @@ def _well_formed_weights(weights) -> tuple[int, int, int]:
 
 def vertex_weights(P) -> tuple[tuple[int, int, int], int]:
     """Per-vertex weights, in the hull's vertex order, and the multiplicity
-    of the Fano triangle P, read by lattice.fano_vertices.
+    of the Fano triangle P, read by FanoPolygon(P).
 
     lambda_i is the opposite edge determinant divided by the gcd g of the
     three determinants; g is the index of the vertex-generated sublattice.
@@ -92,7 +91,7 @@ def vertex_weights(P) -> tuple[tuple[int, int, int], int]:
     dividing two of them divides the third times its primitive vertex in
     lambda_0 v0 + lambda_1 v1 + lambda_2 v2 = 0, so the third too.
     """
-    vs = fano_vertices(P)
+    vs = FanoPolygon(P)
     if len(vs) != 3:
         raise ValueError(f"expected 3 vertices, got {len(vs)}")
     v0, v1, v2 = vs

@@ -4,12 +4,12 @@ All arithmetic is over Python ints, with Fractions only in the dual polygon;
 the degree is summed as an integer numerator over an integer denominator and
 made a Fraction once, at the end. Floats are refused, never truncated.
 Points are plain tuples. A polygon is a tuple of points counterclockwise from
-its lex-min vertex, so equality is tuple equality. fano_vertices reads a bare
-point sequence, in any order, as its convex hull, checked once, into a
-FanoPolygon (of any vertex count), and passes a FanoPolygon through. edges
-and degree read their polygon that way, and bezout takes a primitive point;
-only dual_polygon accepts non-primitive and rational input, so that the dual
-of a dual works.
+its lex-min vertex, so equality is tuple equality. FanoPolygon(P) reads a
+polygon: a bare point sequence, in any order, as its convex hull, checked
+once, into a FanoPolygon (of any vertex count), and a FanoPolygon as it is.
+edges and degree read their polygon that way, and bezout takes a primitive
+point; only dual_polygon accepts non-primitive and rational input, so that
+the dual of a dual works.
 """
 
 from __future__ import annotations
@@ -135,13 +135,16 @@ class FanoPolygon(tuple):
     """A checked Fano polygon, of any vertex count: primitive vertices, the
     origin strictly interior, convex, counterclockwise from the lex-min
     vertex. It is a tuple of points, so it equals and hashes as one.
-    FanoPolygon(points) is the convex hull of a sequence of lattice points,
-    in any order and with any points inside, checked by
+    FanoPolygon(points) is the one reader of a polygon: a FanoPolygon is
+    returned as it is, and any other sequence of lattice points, in any
+    order and with any points inside, as its convex hull, checked by
     validate_fano_polygon."""
 
     __slots__ = ()
 
     def __new__(cls, points):
+        if isinstance(points, FanoPolygon):
+            return points
         vs = convex_hull(polygon_vertices(points))
         validate_fano_polygon(vs)
         return super().__new__(cls, vs)
@@ -158,21 +161,13 @@ def canonical_cycle(vertices):
 
 
 def make_fano_triangle(v0, v1, v2) -> FanoPolygon:
-    return fano_vertices((v0, v1, v2))
+    return FanoPolygon((v0, v1, v2))
 
 
 def polygon_vertices(P):
-    """A FanoPolygon as it is, or a bare vertex sequence in the order given
-    and unchecked, with its coordinates read by operator.index."""
-    if isinstance(P, FanoPolygon):
-        return P
+    """A vertex sequence in the order given and unchecked, with its
+    coordinates read by operator.index."""
     return tuple((index(x), index(y)) for x, y in P)
-
-
-def fano_vertices(P) -> FanoPolygon:
-    """P as a FanoPolygon: a FanoPolygon as it is, and a bare sequence of
-    lattice points as FanoPolygon(P), its checked hull."""
-    return P if isinstance(P, FanoPolygon) else FanoPolygon(P)
 
 
 def _rational(x):
@@ -208,10 +203,10 @@ def pairing(w, v):
 
 def edges(P):
     """(w, h, L) for each edge p -> q of the Fano polygon P, read by
-    fano_vertices, counterclockwise: the primitive inner normal w, the
+    FanoPolygon(P), counterclockwise: the primitive inner normal w, the
     height h = det(p, q) / L > 0, so w(p) = w(q) = -h, and the lattice
     length L. The edge cone holds L // h primitive T-singularities."""
-    vs = fano_vertices(P)
+    vs = FanoPolygon(P)
     for p, q in zip(vs, vs[1:] + vs[:1]):
         a, b = p[1] - q[1], q[0] - p[0]
         L = gcd(a, b)
@@ -220,7 +215,7 @@ def edges(P):
 
 def degree(P) -> Fraction:
     """Anticanonical degree of the toric surface of the Fano polygon P,
-    read by fano_vertices: twice the Euclidean area of the dual polygon,
+    read by FanoPolygon(P): twice the Euclidean area of the dual polygon,
     as an exact rational.
 
     The dual vertex of an edge is w / h, from its row (w, h, L) of edges,

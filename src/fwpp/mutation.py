@@ -19,12 +19,12 @@ only. The widths are the integer edge normals, so this module works in
 integers only. The map a mutation induces on the dual polygon is by
 definition the dual of the mutated polygon: apply_dual_map is
 lattice.dual_polygon of mutate_with's output, and the rational arithmetic
-stays in dual_polygon. A polygon is checked once, as its hull, by
-lattice.fano_vertices; a mutation of a Fano polygon is Fano (same
-reference), so mutate_with returns its output as a FanoPolygon, unchecked,
-and an output fed back is not read again.
-Unimodular equivalence is asked only of Fano polygons, so canonical_form and
-unimodular_equivalent read their input by fano_vertices as well.
+stays in dual_polygon. FanoPolygon(P) reads a polygon, a bare list once as
+its checked hull; a mutation of a Fano polygon is Fano (same reference), so
+mutate_with returns its output as a FanoPolygon, unchecked, and an output
+fed back is not read again. Unimodular equivalence is asked only of Fano
+polygons, so canonical_form and unimodular_equivalent read their input by
+FanoPolygon(P) as well.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from .lattice import (
     det,
     dual_polygon,
     edges,
-    fano_vertices,
     format_ints,
     is_primitive,
     pairing,
-    polygon_vertices,
 )
 
 
@@ -64,12 +62,8 @@ class Factor(namedtuple("Factor", "w f length")):
     __slots__ = ()
 
     def __new__(cls, w, f, length):
-        w, f = polygon_vertices((w, f))
+        w, f = _primitive_pair(w, "width"), _primitive_pair(f, "direction")
         length = index(length)
-        if not is_primitive(w):
-            raise InvalidFactor(f"width {format_ints(w)} must be primitive")
-        if not is_primitive(f):
-            raise InvalidFactor(f"direction {format_ints(f)} must be primitive")
         if pairing(w, f) != 0:
             raise InvalidFactor("factor direction must lie at height zero")
         if length < 1:
@@ -85,17 +79,28 @@ class Factor(namedtuple("Factor", "w f length")):
         return Factor(w=(-self.w[0], -self.w[1]), f=self.f, length=self.length)
 
 
+def _primitive_pair(v, name) -> tuple[int, int]:
+    """The one reader of a width or a direction: a pair read with
+    operator.index, which must be primitive, else InvalidFactor."""
+    x, y = v
+    v = (index(x), index(y))
+    if not is_primitive(v):
+        raise InvalidFactor(f"{name} {format_ints(v)} must be primitive")
+    return v
+
+
 def admissible_widths(P):
-    """The primitive inner edge normals of P, sorted: exactly the widths
-    admitting a nontrivial factor in 2D."""
+    """The primitive inner edge normals of P, sorted, one per edge: every
+    width that can admit a nontrivial factor in 2D. The normal of the row
+    (w, h, L) of lattice.edges admits one only when h <= L; find_factors
+    gives [] for the others."""
     return sorted(w for w, _, _ in edges(P))
 
 
 def _max_length(P, w) -> int:
-    """The largest feasible factor length for the width w: L // h for the
-    edge of lattice length L at height h whose inner normal is w, and 0
-    when w is the normal of no edge."""
-    w = tuple(w)
+    """The largest feasible factor length for the width w, a pair of ints:
+    L // h for the edge of lattice length L at height h whose inner normal
+    is w, and 0 when w is the normal of no edge."""
     return next((L // h for u, h, L in edges(P) if u == w), 0)
 
 
@@ -110,17 +115,16 @@ def _factors(w, lengths) -> list[Factor]:
 
 def find_factors(P, w) -> list[Factor]:
     """All factors of P with respect to w, one per feasible length up to
-    _max_length, in the direction f = (w1, -w0). Empty when none."""
-    if not is_primitive(w):
-        raise ValueError(f"width vector {format_ints(w)} must be primitive")
-    w = (index(w[0]), index(w[1]))
+    _max_length, in the direction f = (w1, -w0). Empty when none. The
+    width is read as Factor reads it."""
+    w = _primitive_pair(w, "width")
     return _factors(w, range(1, _max_length(P, w) + 1))
 
 
 def mutate_with(P, factor: Factor) -> FanoPolygon:
     """Combinatorial mutation of P by the factor, a FanoPolygon; raises
     InvalidMutationData when its length is infeasible."""
-    vs = fano_vertices(P)
+    vs = FanoPolygon(P)
     l_max = _max_length(vs, factor.w)
     if factor.length > l_max:
         raise InvalidMutationData(f"factor length {format_ints(factor.length)}"
@@ -164,7 +168,7 @@ def apply_dual_map(P, factor: Factor):
 def canonical_form(P):
     """Canonical form of a Fano polygon up to unimodular equivalence: the
     least left Hermite normal form of the vertex columns over all cyclic
-    rotations and both orientations. P is read by fano_vertices, so every
+    rotations and both orientations. P is read by FanoPolygon(P), so every
     vertex is primitive and neighbours span cones of index d > 0. From
     v0 = (a, b), with s*a + t*b = 1, column (x, y) goes to
     (c, d) = (s*x + t*y, a*y - b*x). The next vertex has d > 0 walking
@@ -176,7 +180,7 @@ def canonical_form(P):
     (1, 0), and its second is the next vertex reduced to (c mod d, d),
     with d the index of the edge cone. Only the candidates whose key is
     least are built in full: a larger prefix is never the least tuple."""
-    vs = fano_vertices(P)
+    vs = FanoPolygon(P)
     k = len(vs)
     least, winners = None, []
     for i, (a, b) in enumerate(vs):
@@ -225,7 +229,7 @@ def enumerate_one_step(P, triangles_only: bool = False):
     Only a row with h | L can give a triangle, by its factor of length
     L // h; for a triangle P it always does, and the outputs of a larger
     polygon are still checked."""
-    P = fano_vertices(P)
+    P = FanoPolygon(P)
     seen = {}
     for w, h, L in sorted(edges(P)):
         if not triangles_only:

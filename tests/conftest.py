@@ -1,8 +1,10 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+from fwpp import lattice
 from fwpp.fwps import mutate_weights
 from fwpp.lattice import LatticeError, make_fano_triangle
 
@@ -55,3 +57,18 @@ def without_digit_limit():
         finally:
             sys.set_int_max_str_digits(limit)
     return call
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts of the calls of lattice.validate_fano_polygon and of
+    lattice.convex_hull, the two steps of reading a bare list. mutate_with
+    hulls its output through mutation's own name for convex_hull, which is
+    not counted."""
+    counts = Counter()
+    for name in ("validate_fano_polygon", "convex_hull"):
+        def counted(*args, _real=getattr(lattice, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(lattice, name, counted)
+    return counts

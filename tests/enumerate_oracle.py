@@ -7,7 +7,7 @@ triangles_only builds only the factors the T-singularity criterion names.
 This loop stays as the reference it is checked against.
 """
 
-from fwpp.lattice import fano_vertices
+from fwpp.lattice import FanoPolygon
 from fwpp.mutation import (admissible_widths, canonical_form, find_factors,
                            mutate_with)
 
@@ -16,7 +16,7 @@ def enumerate_oracle(P, triangles_only=False):
     """(factor, polygon) for each class of one-step mutations of P up to
     unimodular equivalence, the first factor of each class kept, in
     canonical-form order; with triangles_only, the triangles only."""
-    P = fano_vertices(P)
+    P = FanoPolygon(P)
     seen = {}
     for w in admissible_widths(P):
         for factor in find_factors(P, w):

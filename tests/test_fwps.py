@@ -20,7 +20,13 @@ from fwpp.fwps import (
     weights_of,
     wps_triangle,
 )
-from fwpp.lattice import NonPrimitiveVertex, degree, make_fano_triangle
+from fwpp.lattice import (
+    NonPrimitiveVertex,
+    degree,
+    edges,
+    is_primitive,
+    make_fano_triangle,
+)
 from fwpp.mutation import enumerate_one_step
 
 T35 = make_fano_triangle((10, -7), (-5, 2), (0, 1))
@@ -262,6 +268,55 @@ class TestOneStepTargets:
                 for _, Q in enumerate_one_step(T, triangles_only=True)
             }
             assert realized == targets
+
+
+def _assert_criterion_for_every_mult(P):
+    """The paper's characterisation on the Fano triangle P, of any
+    multiplicity: the (weights, mult) its triangle mutations reach are the
+    weight mutations at the pivots p whose opposite edge row (w, h, L) has
+    h | L, and one_step_targets lists each of them. Returns the number of
+    targets that one_step_targets lists and no mutation reaches."""
+    lams, mult = vertex_weights(P)
+    rows = list(edges(P))
+    w = tuple(sorted(lams))
+    # row i is the edge v_i -> v_(i+1), so row i + 1 is opposite v_i
+    expected = {(mutate_weights(w, w.index(lams[i])), mult) for i in range(3)
+                if rows[(i + 1) % 3][2] % rows[(i + 1) % 3][1] == 0}
+    reached = {(inv.weights, inv.mult) for inv in (
+        weights_of(Q) for _, Q in enumerate_one_step(P, triangles_only=True))}
+    targets = {(t, mult) for _, t, _ in one_step_targets(w)}
+    assert reached == expected, P
+    assert reached <= targets, P
+    return len(targets - reached)
+
+
+_SMALL_PRIMITIVE = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+    is_primitive)
+
+
+class TestCriterionForEveryMult:
+    def test_corpus_and_its_triangle_mutations(self, corpus):
+        triangles = list(corpus) + [Q for P in corpus for _, Q in
+                                    enumerate_one_step(P, triangles_only=True)]
+        unreached = [_assert_criterion_for_every_mult(P) for P in triangles]
+        # one_step_targets promises too much on some planes of mult > 1,
+        # and is exact on others
+        assert any(unreached)
+        assert any(vertex_weights(P)[1] > 1 and not n
+                   for P, n in zip(triangles, unreached))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SMALL_PRIMITIVE, _SMALL_PRIMITIVE, st.integers(1, 12), st.integers(1, 12))
+    def test_drawn_triangles_and_their_triangle_mutations(self, p, q, a, b):
+        # a p + b q + g r = 0 with a, b, g > 0 puts the origin strictly
+        # inside the triangle p, q, r when p and q are independent
+        assume(p[0] * q[1] != p[1] * q[0])
+        x, y = -(a * p[0] + b * q[0]), -(a * p[1] + b * q[1])
+        g = gcd(x, y)
+        P = make_fano_triangle(p, q, (x // g, y // g))
+        _assert_criterion_for_every_mult(P)
+        for _, Q in enumerate_one_step(P, triangles_only=True):
+            _assert_criterion_for_every_mult(Q)
 
 
 def _assert_mult_one_criterion(w):

@@ -41,6 +41,7 @@ from fwpp.lattice import (
 )
 from fwpp.mutation import (
     Factor,
+    InvalidFactor,
     InvalidMutationData,
     apply_dual_map,
     canonical_form,
@@ -140,7 +141,7 @@ N = 10**4400
 @pytest.mark.parametrize("call, error, quoted", [
     (lambda: wps_triangle(2 * N, 2, 1), ValueError, 2 * N),
     (lambda: derive_equation((0, 1, N)), ValueError, N),
-    (lambda: find_factors(P2, (2 * N, 2)), ValueError, 2 * N),
+    (lambda: find_factors(P2, (2 * N, 2)), InvalidFactor, 2 * N),
     (lambda: validate_fano_polygon(((N, 1), (1, 0))), OriginNotInterior, N),
     (lambda: cone_singularity((1, N), (-1, -N)), DegenerateCone, N),
     (lambda: pell357.component_of((N, 1, 1)), pell357.NotASolution, N),

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from fwpp.fwps import cone_singularity, is_T_singularity, wps_triangle
 from fwpp.lattice import (
+    FanoPolygon,
     LatticeError,
     NonConvexPolygon,
     NonPrimitiveVertex,
@@ -18,7 +19,6 @@ from fwpp.lattice import (
     dual_polygon,
     edge_lattice_length,
     edges,
-    fano_vertices,
     int_to_decimal,
     is_primitive,
     make_fano_triangle,
@@ -343,7 +343,7 @@ def _assert_edge_table(P):
     """Each row (w, h, L) of edges(P) against its edge p -> q: w primitive,
     h L = det(p, q), w(p) = w(q) = -h, L the lattice length, and the edge
     cone a T-singularity iff h divides L. Returns the number of T-cones."""
-    vs = fano_vertices(P)
+    vs = FanoPolygon(P)
     rows = list(edges(P))
     assert len(rows) == len(vs)
     assert list(edges(tuple(vs)[::-1])) == rows
@@ -380,7 +380,7 @@ class TestEdges:
     @given(st.lists(_PRIMITIVE_POINT, min_size=3, max_size=8))
     def test_rows_match_their_edges_on_drawn_hulls(self, points):
         try:
-            fano_vertices(points)
+            FanoPolygon(points)
         except LatticeError:
             assume(False)
         _assert_edge_table(points)

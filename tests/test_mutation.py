@@ -18,7 +18,6 @@ from fwpp.lattice import (
     convex_hull,
     degree,
     dual_polygon,
-    fano_vertices,
     make_fano_triangle,
     polygon_vertices,
     triangle_from_json,
@@ -114,6 +113,19 @@ class TestFindFactors:
                 assert [f.length for f in factors] == _feasible_lengths(P, w)
                 assert len({f.f for f in factors}) <= 1
         assert total > 0
+
+    def test_no_factor_iff_the_row_is_higher_than_long(self, corpus):
+        # the normal w of every edge is an admissible width, but its row
+        # (w, h, L) admits a factor only when h <= L
+        polygons = [P.vertices for P in corpus]
+        polygons += [Q for P in corpus for _, Q in enumerate_one_step(P)]
+        rows = [(P, w, h, L) for P in polygons for w, h, L in lattice.edges(P)]
+        empty = 0
+        for P, w, h, L in rows:
+            factors = find_factors(P, w)
+            assert (factors == []) == (h > L)
+            empty += factors == []
+        assert 0 < empty < len(rows)
 
     def test_rigid_triangle_has_no_factors(self):
         for w in admissible_widths(T35):
@@ -393,7 +405,7 @@ class TestEnumerate:
         # the hull of primitive points has primitive vertices; it is a Fano
         # polygon when the origin lies inside
         try:
-            P = fano_vertices(points)
+            P = FanoPolygon(points)
         except OriginNotInterior:
             assume(False)
         assert enumerate_one_step(P, triangles_only) == enumerate_oracle(
@@ -493,21 +505,6 @@ class TestBareVertexLists:
             call(vertices)
 
 
-@pytest.fixture
-def reads(monkeypatch):
-    """Counts of the calls of lattice.validate_fano_polygon and of
-    lattice.convex_hull, the two steps of reading a bare list. mutate_with
-    hulls its output through mutation's own name for convex_hull, which is
-    not counted."""
-    counts = Counter()
-    for name in ("validate_fano_polygon", "convex_hull"):
-        def counted(*args, _real=getattr(lattice, name), _name=name):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(lattice, name, counted)
-    return counts
-
-
 class TestFanoPolygon:
     """A polygon is read once, where it enters. The constructors and
     mutate_with return a FanoPolygon, which every reader passes through."""
@@ -530,7 +527,8 @@ class TestFanoPolygon:
         points = [(0, 1), (0, 0), (-1, -1), (1, 0)]
         P = FanoPolygon(points)
         assert type(P) is FanoPolygon
-        assert P == fano_vertices(points) == ((-1, -1), (1, 0), (0, 1))
+        assert P == FanoPolygon(points[::-1]) == ((-1, -1), (1, 0), (0, 1))
+        assert FanoPolygon(P) is P
 
     def test_one_validation_of_a_bare_list_none_of_an_output(self, corpus, reads):
         for P in corpus:
@@ -613,7 +611,7 @@ class TestCanonicalForm:
             ((0, 0), (2, 1), (1, 3)),            # the origin as a vertex
             ((0, 0), (0, 0), (3, 1), (0, 0), (1, 2)),
         ):
-            _assert_refused_as_by_fano_vertices(vertices, NonPrimitiveVertex)
+            _assert_refused_as_by_fano_polygon(vertices, NonPrimitiveVertex)
 
     def test_matches_hnf_oracle_at_max_growth_step_14(self, max_growth_branch):
         P = wps_triangle(*max_growth_branch[14])
@@ -634,9 +632,9 @@ class TestCanonicalForm:
     @given(_special_vertex_lists())
     def test_matches_hnf_oracle_on_special_vertex_lists(self, vs):
         try:
-            hull = fano_vertices(vs)
+            hull = FanoPolygon(vs)
         except LatticeError as exc:
-            _assert_refused_as_by_fano_vertices(vs, type(exc))
+            _assert_refused_as_by_fano_polygon(vs, type(exc))
         else:
             assert canonical_form(vs) == _canonical_oracle(hull)
             assert canonical_form(vs[::-1]) == _canonical_oracle(hull)
@@ -650,7 +648,7 @@ class TestCanonicalForm:
     def test_degenerate_rejected(self, vertices):
         # the primitivity check comes first, and only [] has no vertex
         error = NonPrimitiveVertex if vertices else OriginNotInterior
-        _assert_refused_as_by_fano_vertices(vertices, error)
+        _assert_refused_as_by_fano_polygon(vertices, error)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -660,7 +658,7 @@ class TestCanonicalForm:
         orientation, so the form is then read walking back."""
         P = data.draw(st.sampled_from(corpus_with_outputs))
         U = data.draw(_unimodular_matrices())
-        image = fano_vertices([apply_matrix(U, v) for v in P])
+        image = FanoPolygon([apply_matrix(U, v) for v in P])
         assert canonical_form(image) == canonical_form(P)
         assert unimodular_equivalent(P, image)
         assert unimodular_equivalent(list(image)[::-1], P)
@@ -691,11 +689,11 @@ def _unimodular_matrices(draw):
     return U
 
 
-def _assert_refused_as_by_fano_vertices(vertices, error):
+def _assert_refused_as_by_fano_polygon(vertices, error):
     """canonical_form refuses a list that is not a Fano polygon with the
-    class fano_vertices raises, in both orders."""
+    class FanoPolygon raises, in both orders."""
     with pytest.raises(error):
-        fano_vertices(vertices)
+        FanoPolygon(vertices)
     for vs in (vertices, vertices[::-1]):
         with pytest.raises(LatticeError) as info:
             canonical_form(vs)

@@ -1,6 +1,7 @@
 """Every name a source module imports is used in that module, every
-module-level private name is used somewhere in the package, and only
-lattice.decimal_to_int reads integers written as text.
+module-level private name is used somewhere in the package, only
+lattice.decimal_to_int reads integers written as text, and each checked
+type is built past its checks at one site only.
 
 There is no linter among the test dependencies, so this reads the modules
 with ast. The package's __init__.py is skipped by the import check: it
@@ -175,3 +176,55 @@ def test_a_main_guard_is_reported():
               "if __name__ == 'fwpp':\n    pass\n"
               "def f():\n    if __name__ == '__main__':\n        pass\n")
     assert _main_guards(ast.parse(source)) == [2]
+
+
+# The one site that may build each checked type without its checks.
+UNCHECKED_SITES = {("mutation.py", "_mutate_core", "FanoPolygon"),
+                   ("mutation.py", "_factors", "Factor")}
+
+
+def _unchecked_constructions(tree, module):
+    """(module, function, class) for each tuple.__new__(cls, ...) call,
+    which builds an instance of cls past the checks of its own __new__."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "tuple" and node.args):
+            cls = node.args[0]
+            found.append((module, function,
+                          cls.id if isinstance(cls, ast.Name) else ast.unparse(cls)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_checked_types_are_built_unchecked_at_one_site_each():
+    """Only mutation._mutate_core builds a FanoPolygon past its check, on
+    the mutation of a Fano polygon, and only mutation._factors a Factor,
+    on a row of an edge table."""
+    sites = [site for p in PACKAGE for site in _unchecked_constructions(
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), p.name)]
+    assert set(sites) == UNCHECKED_SITES
+    assert len(sites) == len(UNCHECKED_SITES)
+
+
+def test_a_stray_unchecked_construction_is_reported():
+    source = ("def _mutate_core(vs):\n"
+              "    return tuple.__new__(FanoPolygon, vs)\n"
+              "def shortcut(vs):\n"
+              "    return tuple.__new__(FanoPolygon, vs)\n"
+              "class Factor(tuple):\n"
+              "    def __new__(cls, w):\n"
+              "        return super().__new__(cls, w)\n"
+              "x = tuple.__new__(lattice.FanoPolygon, ())\n")
+    assert _unchecked_constructions(ast.parse(source), "mutation.py") == [
+        ("mutation.py", "_mutate_core", "FanoPolygon"),
+        ("mutation.py", "shortcut", "FanoPolygon"),
+        ("mutation.py", None, "lattice.FanoPolygon")]
