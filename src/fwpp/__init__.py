@@ -10,7 +10,6 @@ from .lattice import (
     OriginNotInterior,
     degree,
     dual_polygon,
-    edge_lattice_length,
     is_primitive,
     make_fano_triangle,
     triangle_from_json,
@@ -21,7 +20,6 @@ from .mutation import (
     InvalidFactor,
     InvalidMutationData,
     admissible_widths,
-    apply_dual_map,
     canonical_form,
     enumerate_one_step,
     find_factors,

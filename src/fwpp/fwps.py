@@ -184,19 +184,18 @@ def mutate_weights(weights, pivot: int) -> tuple[int, int, int]:
     return target
 
 
-def one_step_targets(X) -> list[tuple[int, tuple[int, int, int], bool]]:
-    """For each pivot where the divisibility condition holds, the mutated
-    weight triple and whether the pivot's cone type 1/lp(li, lj) is a
-    T-singularity: the same condition restated, so the flag is always True.
+def one_step_targets(X) -> list[tuple[int, tuple[int, int, int]]]:
+    """(pivot, mutated weights) for each pivot where lp | (li + lj)^2.
 
-    For mult = 1 this decides geometric existence; for mult > 1 it is only
-    a necessary condition and a geometric witness is required.
+    That divisibility is the T-singularity criterion for the pivot's cone
+    type 1/lp(li, lj) = 1/lp(1, lj/li): it is T iff lp | (1 + lj/li)^2,
+    iff lp | (li + lj)^2, since li is a unit mod lp. For mult = 1 this
+    decides geometric existence; for mult > 1 it is only a necessary
+    condition and a geometric witness is required.
     """
     weights = tuple(sorted(_well_formed_weights(
         X.weights if isinstance(X, FwpsInvariants) else X)))
-    # 1/lp(li, lj) = 1/lp(1, lj/li) is T iff lp | (1 + lj/li)^2, iff
-    # lp | (li + lj)^2, since li is a unit mod lp: _step's own test.
-    return [(pivot, target, True) for pivot in range(3)
+    return [(pivot, target) for pivot in range(3)
             if (target := _step(weights, pivot)) is not None]
 
 

@@ -229,13 +229,6 @@ def degree(P) -> Fraction:
     return Fraction(num, den)
 
 
-def edge_lattice_length(a, b) -> int:
-    """Number of lattice points on the segment [a, b] minus one."""
-    if tuple(a) == tuple(b):
-        raise ValueError("the segment has zero length")
-    return gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 # --- JSON wire format -------------------------------------------------------
 #
 # Triangles and polygons travel as {"vertices": [[x, y], ...]} with each

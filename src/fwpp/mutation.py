@@ -17,9 +17,8 @@ factor -f is a translate of +f by a vector at height zero, so it gives a
 unimodularly equivalent polygon; factor discovery returns f = (w1, -w0)
 only. The widths are the integer edge normals, so this module works in
 integers only. The map a mutation induces on the dual polygon is by
-definition the dual of the mutated polygon: apply_dual_map is
-lattice.dual_polygon of mutate_with's output, and the rational arithmetic
-stays in dual_polygon. FanoPolygon(P) reads a polygon, a bare list once as
+definition the dual of the mutated polygon, lattice.dual_polygon of
+mutate_with's output. FanoPolygon(P) reads a polygon, a bare list once as
 its checked hull; a mutation of a Fano polygon is Fano (same reference), so
 mutate_with returns its output as a FanoPolygon, unchecked, and an output
 fed back is not read again. Unimodular equivalence is asked only of Fano
@@ -38,7 +37,6 @@ from .lattice import (
     bezout,
     convex_hull,
     det,
-    dual_polygon,
     edges,
     format_ints,
     is_primitive,
@@ -80,10 +78,12 @@ class Factor(namedtuple("Factor", "w f length")):
 
 
 def _primitive_pair(v, name) -> tuple[int, int]:
-    """The one reader of a width or a direction: a pair read with
-    operator.index, which must be primitive, else InvalidFactor."""
-    x, y = v
-    v = (index(x), index(y))
+    """The one reader of a width or a direction: entries read with
+    operator.index, two of them and primitive, else InvalidFactor (so a
+    lone int is refused as a non-pair)."""
+    v = v if isinstance(v, int) else tuple(map(index, v))
+    if isinstance(v, int) or len(v) != 2:
+        raise InvalidFactor(f"{name} {format_ints(v)} must be a pair")
     if not is_primitive(v):
         raise InvalidFactor(f"{name} {format_ints(v)} must be primitive")
     return v
@@ -154,13 +154,6 @@ def _mutate_core(vs, factor: Factor) -> FanoPolygon:
             points.append((x + h * dx, y + h * dy))
     # a mutation of a Fano polygon is Fano, so its hull is not checked
     return tuple.__new__(FanoPolygon, convex_hull(points))
-
-
-def apply_dual_map(P, factor: Factor):
-    """Image of the dual polygon under the piecewise linear map induced by
-    the factor, which is by definition the dual of the mutated polygon;
-    raises InvalidMutationData when the factor length is infeasible."""
-    return dual_polygon(mutate_with(P, factor))
 
 
 # --- unimodular equivalence -------------------------------------------------

@@ -1,21 +1,20 @@
 """The equation 12 x0 x1 x2 = 3 x0^2 + 5 x1^2 + 7 x2^2 and its Pell families.
 
-Fixing (a1, a2) makes the equation quadratic in x0; the two roots form a
-mutation component of size at most two. Setting a1 = 1 (resp. a2 = 1) turns
-the solvability condition into the Pell equation a2^2 - 1 = 15 M^2 (resp.
-a1^2 - 1 = 21 M^2), giving two infinite families of minimal weights. No
-floating point is used anywhere.
+Fixing (a1, a2) makes the equation quadratic in x0; the two roots, which
+diophantine.slice_roots(EQUATION, a1, a2) gives, form a mutation component
+of size at most two. Setting a1 = 1 (resp. a2 = 1) turns the solvability
+condition into the Pell equation a2^2 - 1 = 15 M^2 (resp. a1^2 - 1 =
+21 M^2), giving two infinite families of minimal weights. No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from operator import index
 
 from .diophantine import (DiophantineEquation, _solution, minimal_solutions,
-                          mutate_solution, slice_roots, verify_solution)
-from .fwps import is_well_formed
+                          mutate_solution, verify_solution)
 from .lattice import format_ints
 
 EQUATION = DiophantineEquation(m=12, k=1, c=(3, 5, 7), r=105)
@@ -25,10 +24,6 @@ class NotASolution(ValueError):
     pass
 
 
-QuadraticSlice = namedtuple("QuadraticSlice", "a1 a2 roots")
-QuadraticSlice.__doc__ = """The quadratic 3 x^2 - 12 a1 a2 x + (5 a1^2 + 7 a2^2)
-at fixed (a1, a2), with its integer roots, or None when they do not exist."""
-
 Component = namedtuple("Component", "solutions")
 Component.__doc__ = """The solutions sharing (a1, a2): one or both roots of the
 quadratic, as a sorted tuple of triples."""
@@ -36,21 +31,6 @@ quadratic, as a sorted tuple of triples."""
 
 def is_solution(s) -> bool:
     return verify_solution(EQUATION, s)
-
-
-def condition_357(a1: int, a2: int):
-    """N >= 0 with 5 a1^2 (a2^2 - 1) + 7 a2^2 (a1^2 - 1) = 3 N^2, or None:
-    half the gap between the roots 2 a1 a2 -+ N of the quadratic in a0,
-    whose discriminant is 36 N^2. N = 0 exactly at a1 = a2 = 1."""
-    roots = slice_roots(EQUATION, a1, a2)
-    return None if roots is None else (roots[1] - roots[0]) // 2
-
-
-def solve_quadratic_357(a1: int, a2: int) -> QuadraticSlice:
-    """Integer roots of 12 x a1 a2 = 3 x^2 + 5 a1^2 + 7 a2^2: the pair
-    2 a1 a2 -+ N of condition_357, or None."""
-    a1, a2 = index(a1), index(a2)
-    return QuadraticSlice(a1=a1, a2=a2, roots=slice_roots(EQUATION, a1, a2))
 
 
 def _pell_family(count, coeff, a_fixed_is_a1, var_seeds, m_seeds, c):
@@ -103,12 +83,6 @@ def component_of(s) -> Component:
     s = _checked_solution(s)
     sols = sorted({s, mutate_solution(EQUATION, s, 0)})
     return Component(solutions=tuple(sols))
-
-
-def coprime_implies_well_formed_check(s) -> bool:
-    """True iff the weights (3 a0^2, 5 a1^2, 7 a2^2) are pairwise coprime;
-    for solutions this coincides with gcd(a0, a1, a2) = 1."""
-    return is_well_formed(solution_weights(_checked_solution(s)))
 
 
 def solution_weights(s) -> tuple[int, int, int]:

@@ -1,18 +1,21 @@
 """The piecewise-linear map that a mutation induces on the dual polygon,
-computed on the dual itself, the way fwpp's apply_dual_map once did.
+computed on the dual itself.
 
-fwpp now takes the dual of the mutated polygon instead. This map stays as
-the reference it is checked against: the dual vertices with u(f) >= 0 are
-fixed, those with u(f) < 0 move by u -> u - l*u(f)*w, and each dual edge
-crossing u(f) = 0 is split there first, in exact Fractions. Its bound on
-the factor length is its own: a scan of the vertex heights for the bottom
-edge, not fwpp's edge table.
+fwpp has no function for this map: its image is by definition the dual of
+the mutated polygon, lattice.dual_polygon of mutation.mutate_with's
+output. This map stays as the reference that composition is checked
+against: the dual vertices with u(f) >= 0 are fixed, those with u(f) < 0
+move by u -> u - l*u(f)*w, and each dual edge crossing u(f) = 0 is split
+there first, in exact Fractions. Its bound on the factor length is its
+own: a scan of the vertex heights for the bottom edge, not fwpp's edge
+table.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from fwpp.lattice import (convex_hull, dual_polygon, edge_lattice_length,
-                          format_ints, pairing, polygon_vertices)
+from fwpp.lattice import (convex_hull, dual_polygon, format_ints, pairing,
+                          polygon_vertices)
 from fwpp.mutation import InvalidFactor
 
 
@@ -25,7 +28,8 @@ def max_length(vs, w) -> int:
     bottom = [v for v, h in zip(vs, hs) if h == h_min]
     if h_min >= 0 or len(bottom) == 1:
         return 0
-    return edge_lattice_length(*bottom) // -h_min
+    (ax, ay), (bx, by) = bottom
+    return gcd(ax - bx, ay - by) // -h_min
 
 
 def pl_dual_map(P, factor):

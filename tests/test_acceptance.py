@@ -30,7 +30,6 @@ from fwpp.lattice import (
 )
 from fwpp.mutation import (
     Factor,
-    apply_dual_map,
     enumerate_one_step,
     mutate_with,
 )
@@ -66,7 +65,7 @@ def test_criterion_1_example_mutation(capsys):
         factor = Factor(w=(0, 1), f=(1, 0), length=1)
         Q = mutate_with(P2, factor)
         assert set(Q) == {(1, 2), (-1, 2), (0, -1)}
-        image = apply_dual_map(P2, factor)
+        image = dual_polygon(mutate_with(P2, factor))
         assert image == pl_dual_map(P2, factor)
         assert set(image) == set(dual_polygon(make_fano_triangle(*Q)))
 

@@ -245,9 +245,11 @@ class TestWeightMutation:
 class TestOneStepTargets:
     def test_p114(self):
         targets = one_step_targets(weights_of(wps_triangle(1, 1, 4)))
-        got = [(p, t) for p, t, _ in targets]
-        assert got == [(0, (1, 4, 25)), (1, (1, 4, 25)), (2, (1, 1, 1))]
-        assert all(t_sing for _, _, t_sing in targets)
+        assert targets == [(0, (1, 4, 25)), (1, (1, 4, 25)), (2, (1, 1, 1))]
+
+    def test_p2_every_pivot(self):
+        assert one_step_targets((1, 1, 1)) == [(0, (1, 1, 4)), (1, (1, 1, 4)),
+                                               (2, (1, 1, 4))]
 
     def test_p3511_empty(self):
         assert one_step_targets((3, 5, 11)) == []
@@ -262,7 +264,7 @@ class TestOneStepTargets:
         # for true WPS the T-condition is exact: every target is realized
         for w in [(1, 1, 1), (1, 1, 4), (1, 4, 25), (1, 25, 169)]:
             T = wps_triangle(*w)
-            targets = {t for _, t, _ in one_step_targets(weights_of(T))}
+            targets = {t for _, t in one_step_targets(weights_of(T))}
             realized = {
                 weights_of(Q).weights
                 for _, Q in enumerate_one_step(T, triangles_only=True)
@@ -284,7 +286,7 @@ def _assert_criterion_for_every_mult(P):
                 if rows[(i + 1) % 3][2] % rows[(i + 1) % 3][1] == 0}
     reached = {(inv.weights, inv.mult) for inv in (
         weights_of(Q) for _, Q in enumerate_one_step(P, triangles_only=True))}
-    targets = {(t, mult) for _, t, _ in one_step_targets(w)}
+    targets = {(t, mult) for _, t in one_step_targets(w)}
     assert reached == expected, P
     assert reached <= targets, P
     return len(targets - reached)
@@ -322,14 +324,14 @@ class TestCriterionForEveryMult:
 def _assert_mult_one_criterion(w):
     """The paper's mult = 1 criterion at each pivot of a pairwise coprime
     triple: lp divides (li + lj)^2 iff 1/lp(li, lj) is a T-singularity, and
-    one_step_targets lists exactly the dividing pivots, each flagged."""
+    one_step_targets lists exactly the dividing pivots and their targets."""
     w = tuple(sorted(w))
     expected = []
     for pivot, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
         divides = (w[i] + w[j]) ** 2 % w[pivot] == 0
         assert divides == is_T_singularity(quotient_singularity(w[pivot], w[i], w[j]))
         if divides:
-            expected.append((pivot, mutate_weights(w, pivot), True))
+            expected.append((pivot, mutate_weights(w, pivot)))
     assert one_step_targets(w) == expected
 
 

@@ -3,7 +3,7 @@ an integer is expected raises TypeError instead of being truncated, and an
 error that quotes integers past Python's 4300-digit int/str limit raises
 its own exception with the integers in the message, not the limit's
 ValueError. An integer out of its range (a zero index or count, a
-non-primitive generator, an empty segment) raises ValueError."""
+non-primitive generator) raises ValueError."""
 
 from fractions import Fraction
 
@@ -17,6 +17,7 @@ from fwpp.diophantine import (
     derive_equation,
     height,
     mutate_solution,
+    slice_roots,
     square_free_decompose,
     verify_solution,
 )
@@ -33,7 +34,6 @@ from fwpp.lattice import (
     OriginNotInterior,
     degree,
     dual_polygon,
-    edge_lattice_length,
     format_ints,
     int_to_decimal,
     make_fano_triangle,
@@ -43,7 +43,6 @@ from fwpp.mutation import (
     Factor,
     InvalidFactor,
     InvalidMutationData,
-    apply_dual_map,
     canonical_form,
     find_factors,
     mutate_with,
@@ -68,7 +67,6 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: height((1.5, 1, 1)),
     lambda: pell357.is_solution((1.0, 1, 1)),
     lambda: pell357.component_of((2.0, 1, 1)),
-    lambda: pell357.coprime_implies_well_formed_check((2.0, 1, 1)),
     lambda: pell357.solution_weights((2.0, 1, 1)),
     lambda: degree([(0.5, 0), (0, 1), (-1, -1)]),
     lambda: canonical_form([(1.0, 0), (0, 1), (-1, -1)]),
@@ -82,18 +80,16 @@ P2 = make_fano_triangle((1, -1), (-1, 2), (0, -1))
     lambda: quotient_singularity(Fraction(1), 1, 1),
     lambda: square_free_decompose(Fraction(8)),
     lambda: square_free_decompose(Fraction(12)),
-    lambda: pell357.condition_357(Fraction(1), 4),
-    lambda: pell357.solve_quadratic_357(Fraction(1), 4),
+    lambda: slice_roots(pell357.EQUATION, Fraction(1), 4),
 ], ids=["make_fano_triangle", "make_fano_triangle-fraction", "Factor",
         "is_well_formed", "wps_triangle", "mutate_weights", "mutate_weights-pivot",
         "derive_equation", "verify_solution", "mutate_solution",
         "mutate_solution-pivot", "height", "is_solution",
-        "component_of", "coprime_implies_well_formed_check", "solution_weights",
-        "degree", "canonical_form", "mutate_with", "vertex_weights",
+        "component_of", "solution_weights", "degree", "canonical_form", "mutate_with", "vertex_weights",
         "build_mutation_tree-depth", "build_mutation_tree-height", "dual_polygon",
         "quotient_singularity-r", "quotient_singularity-a",
         "quotient_singularity-fraction", "square_free_decompose-8",
-        "square_free_decompose-12", "condition_357", "solve_quadratic_357"])
+        "square_free_decompose-12", "slice_roots"])
 def test_non_integers_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -106,12 +102,10 @@ def test_non_integers_rejected(call):
     pell357.is_solution,
     pell357.solution_weights,
     pell357.component_of,
-    pell357.coprime_implies_well_formed_check,
     height,
     is_well_formed,
 ], ids=["mutate_solution", "verify_solution", "is_solution", "solution_weights",
-        "component_of", "coprime_implies_well_formed_check", "height",
-        "is_well_formed"])
+        "component_of", "height", "is_well_formed"])
 def test_solutions_of_other_lengths_rejected(call, solution):
     with pytest.raises(ValueError) as info:
         call(solution)
@@ -123,11 +117,10 @@ def test_solutions_of_other_lengths_rejected(call, solution):
     (lambda: square_free_decompose(0), "n must be positive"),
     (lambda: quotient_singularity(0, 1, 1), "index r must be positive"),
     (lambda: cone_singularity((2, 0), (0, 1)), "cone generators must be primitive"),
-    (lambda: edge_lattice_length((1, 2), (1, 2)), "the segment has zero length"),
     (lambda: pell357.family_a1_fixed(0), "count must be >= 1"),
     (lambda: pell357.family_a2_fixed(0), "count must be >= 1"),
 ], ids=["square_free_decompose", "quotient_singularity", "cone_singularity",
-        "edge_lattice_length", "family_a1_fixed", "family_a2_fixed"])
+        "family_a1_fixed", "family_a2_fixed"])
 def test_out_of_range_integers_rejected(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -145,14 +138,10 @@ N = 10**4400
     (lambda: validate_fano_polygon(((N, 1), (1, 0))), OriginNotInterior, N),
     (lambda: cone_singularity((1, N), (-1, -N)), DegenerateCone, N),
     (lambda: pell357.component_of((N, 1, 1)), pell357.NotASolution, N),
-    (lambda: pell357.coprime_implies_well_formed_check((N, 1, 1)),
-     pell357.NotASolution, N),
     (lambda: mutate_solution(MARKOV, (N, 1, 1), 0), NonIntegral, N - 3),
     (lambda: mutate_solution(DiophantineEquation(m=1, k=1, c=(2, 1, 1), r=1),
                              (N, 1, 1), 0), NonIntegral, 2 * N - 1),
     (lambda: mutate_with(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
-     InvalidMutationData, N),
-    (lambda: apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=N)),
      InvalidMutationData, N),
     (lambda: mutate_weights((1, 1, 1), N), ValueError, N),
     (lambda: mutate_solution(MARKOV, (1, 1, 1), N), ValueError, N),
@@ -160,8 +149,7 @@ N = 10**4400
     (lambda: build_mutation_tree((1, 1, 1), max_height=-N), ValueError, -N),
 ], ids=["wps_triangle", "derive_equation", "find_factors",
         "validate_fano_polygon", "cone_singularity", "component_of",
-        "coprime_implies_well_formed_check", "mutate_solution",
-        "mutate_solution-fraction", "mutate_with", "apply_dual_map",
+        "mutate_solution", "mutate_solution-fraction", "mutate_with",
         "mutate_weights-pivot", "mutate_solution-pivot",
         "build_mutation_tree-depth", "build_mutation_tree-height"])
 def test_errors_quote_integers_past_the_digit_limit(call, error, quoted):

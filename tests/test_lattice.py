@@ -17,7 +17,6 @@ from fwpp.lattice import (
     decimal_to_int,
     degree,
     dual_polygon,
-    edge_lattice_length,
     edges,
     int_to_decimal,
     is_primitive,
@@ -316,29 +315,6 @@ class TestValidateFanoPolygon:
             validate_fano_polygon(((1, 0), (-1, -1), (0, 1)))
 
 
-class TestEdgeLatticeLength:
-    def test_adjacent(self):
-        assert edge_lattice_length((1, -1), (0, -1)) == 1
-
-    def test_interior_point(self):
-        assert edge_lattice_length((1, 2), (-1, 2)) == 2
-
-    def test_derived(self):
-        assert edge_lattice_length((10, -7), (-5, 2)) == 3
-
-    @given(st.integers(-50, 50), st.integers(-50, 50),
-           st.integers(-50, 50), st.integers(-50, 50),
-           st.integers(-20, 20), st.integers(-20, 20))
-    def test_symmetric_and_translation_invariant(self, ax, ay, bx, by, tx, ty):
-        a, b = (ax, ay), (bx, by)
-        if a == b:
-            return
-        n = edge_lattice_length(a, b)
-        assert n == edge_lattice_length(b, a)
-        assert n == edge_lattice_length((ax + tx, ay + ty), (bx + tx, by + ty))
-        assert n == edge_lattice_length((ax + ay, ay), (bx + by, by))
-
-
 def _assert_edge_table(P):
     """Each row (w, h, L) of edges(P) against its edge p -> q: w primitive,
     h L = det(p, q), w(p) = w(q) = -h, L the lattice length, and the edge
@@ -352,7 +328,7 @@ def _assert_edge_table(P):
         assert is_primitive(w) and h > 0
         assert h * L == p[0] * q[1] - p[1] * q[0]
         assert pairing(w, p) == pairing(w, q) == -h
-        assert L == edge_lattice_length(p, q)
+        assert L == gcd(p[0] - q[0], p[1] - q[1])
         is_t = is_T_singularity(cone_singularity(p, q))
         assert is_t == (L % h == 0)
         t_cones += is_t

@@ -29,7 +29,6 @@ from fwpp.mutation import (
     InvalidFactor,
     InvalidMutationData,
     admissible_widths,
-    apply_dual_map,
     canonical_form,
     enumerate_one_step,
     find_factors,
@@ -308,7 +307,7 @@ def _all_g_choices(P, w, factor, cap=200):
 class TestDualMap:
     def test_p2_to_p114_dual(self):
         factor = Factor(w=(0, 1), f=(1, 0), length=1)
-        assert set(apply_dual_map(P2, factor)) == set(dual_polygon(Q114))
+        assert set(dual_polygon(mutate_with(P2, factor))) == set(dual_polygon(Q114))
 
     def test_fixed_chamber_vertices_stay_in_image(self):
         # vertices with u(f) >= 0 are fixed pointwise, so they still lie in
@@ -334,14 +333,14 @@ class TestDualMap:
                                 want = pl_dual_map(P, fac)
                             except InvalidFactor as e:
                                 with pytest.raises(InvalidMutationData) as info:
-                                    apply_dual_map(P, fac)
+                                    dual_polygon(mutate_with(P, fac))
                                 assert str(info.value) == str(e)
                                 continue
-                            assert apply_dual_map(P, fac) == want
+                            assert dual_polygon(mutate_with(P, fac)) == want
 
     def test_invalid_factor(self):
         with pytest.raises(InvalidMutationData):
-            apply_dual_map(P2, Factor(w=(0, 1), f=(1, 0), length=2))
+            dual_polygon(mutate_with(P2, Factor(w=(0, 1), f=(1, 0), length=2)))
 
     @pytest.mark.parametrize("vertices", [
         [(-1, -1), (1, -1), (1, 0), (-1, 0)],  # origin on an edge
@@ -349,7 +348,7 @@ class TestDualMap:
     ])
     def test_non_fano_input_rejected(self, vertices):
         with pytest.raises(LatticeError):
-            apply_dual_map(vertices, Factor(w=(0, 1), f=(1, 0), length=1))
+            dual_polygon(mutate_with(vertices, Factor(w=(0, 1), f=(1, 0), length=1)))
 
 
 _primitive_points = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
@@ -541,7 +540,7 @@ class TestFanoPolygon:
                 assert reads["validate_fano_polygon"] == 0
                 degree(Q)
                 dual_polygon(Q)
-                apply_dual_map(Q, factor.inverse())
+                dual_polygon(mutate_with(Q, factor.inverse()))
                 assert reads["convex_hull"] == 0
 
     def test_outputs_answer_as_their_bare_tuples(self, corpus):

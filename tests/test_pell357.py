@@ -3,20 +3,17 @@ from math import gcd, isqrt
 
 import pytest
 
-from fwpp.diophantine import NonIntegral, derive_equation, mutate_solution
+from fwpp.diophantine import NonIntegral, derive_equation, mutate_solution, slice_roots
 from fwpp.fwps import is_well_formed
 from fwpp.pell357 import (
     EQUATION,
     NotASolution,
     component_of,
-    condition_357,
-    coprime_implies_well_formed_check,
     family_a1_fixed,
     family_a2_fixed,
     is_solution,
     scan_components,
     solution_weights,
-    solve_quadratic_357,
 )
 
 
@@ -60,19 +57,23 @@ class TestEquation:
 
 
 class TestCondition:
+    """slice_roots(EQUATION, a1, a2) is the 3-5-7 closed form: the roots
+    2 a1 a2 -+ N with 3 N^2 = 5 a1^2 (a2^2 - 1) + 7 a2^2 (a1^2 - 1)."""
+
     def test_zero_case(self):
-        assert condition_357(1, 1) == 0
+        # N = 0: the double root, twice
+        assert slice_roots(EQUATION, 1, 1) == (2, 2)
 
     def test_family_seed(self):
-        assert condition_357(1, 4) is not None
+        assert slice_roots(EQUATION, 1, 4) == (3, 13)
 
     def test_failure(self):
-        assert condition_357(2, 3) is None
+        assert slice_roots(EQUATION, 2, 3) is None
 
     @pytest.mark.parametrize("a1, a2", [(0, 3), (3, 0), (0, 1), (-1, 0)])
     def test_negative_left_side(self, a1, a2):
-        assert condition_357(a1, a2) is None
-        assert solve_quadratic_357(a1, a2).roots is None
+        assert quadratic_oracle(a1, a2) == (None, None)
+        assert slice_roots(EQUATION, a1, a2) is None
 
     def test_matches_oracle(self):
         pairs = [(a1, a2) for a1 in range(-20, 200) for a2 in range(-20, 200)]
@@ -81,8 +82,7 @@ class TestCondition:
         solvable = 0
         for a1, a2 in pairs:
             n, roots = quadratic_oracle(a1, a2)
-            assert condition_357(a1, a2) == n, (a1, a2)
-            assert solve_quadratic_357(a1, a2) == (a1, a2, roots), (a1, a2)
+            assert slice_roots(EQUATION, a1, a2) == roots, (a1, a2)
             solvable += n is not None
         assert solvable > 80 + 40  # the grid holds solvable pairs too
 
@@ -90,11 +90,12 @@ class TestCondition:
         # 3 N^2 condition holds iff the quadratic in a0 has integer roots
         for a1 in range(1, 30):
             for a2 in range(1, 30):
-                n = condition_357(a1, a2)
-                roots = solve_quadratic_357(a1, a2).roots
+                n, _ = quadratic_oracle(a1, a2)
+                roots = slice_roots(EQUATION, a1, a2)
                 assert (n is not None) == (roots is not None)
                 if roots is not None:
                     alpha, beta = roots
+                    assert beta - alpha == 2 * n
                     assert alpha + beta == 4 * a1 * a2
                     assert 3 * alpha * beta == 5 * a1**2 + 7 * a2**2
 
@@ -154,7 +155,7 @@ class TestComponents:
         else:
             sols = [(a0, a1, 1) for a0, a1, _ in family_a2_fixed(60)]
         for s in sols:
-            roots = solve_quadratic_357(s[1], s[2]).roots
+            roots = slice_roots(EQUATION, s[1], s[2])
             want = tuple(sorted({(root, s[1], s[2]) for root in roots}))
             assert component_of(s).solutions == want
 
@@ -230,7 +231,6 @@ class TestWeights:
         for comp in scan_components(200):
             for s in comp.solutions:
                 coprime = gcd(gcd(s[0], s[1]), s[2]) == 1
-                assert coprime_implies_well_formed_check(s) == coprime
                 assert is_well_formed(solution_weights(s)) == coprime
 
     def test_weight_derivation_round_trip(self):

@@ -3,7 +3,8 @@ through FanoPolygon(P), so a bare list that is not a Fano polygon is
 refused with exactly the class and message that FanoPolygon(list) raises,
 and a FanoPolygon is passed through as it is, read no further. Only
 dual_polygon is left out: it accepts rational input, so that the dual of a
-dual works."""
+dual works. The width and direction of a factor have their own reader,
+which refuses a non-pair by name and quotes it."""
 
 from collections import Counter
 
@@ -13,8 +14,8 @@ from fwpp.fwps import vertex_weights, weights_of, wps_triangle
 from fwpp.lattice import FanoPolygon, degree, dual_polygon, edges, make_fano_triangle
 from fwpp.mutation import (
     Factor,
+    InvalidFactor,
     admissible_widths,
-    apply_dual_map,
     canonical_form,
     enumerate_one_step,
     find_factors,
@@ -43,7 +44,6 @@ READERS = {
     "admissible_widths": admissible_widths,
     "find_factors": lambda P: find_factors(P, (0, 1)),
     "mutate_with": lambda P: mutate_with(P, FACTOR),
-    "apply_dual_map": lambda P: apply_dual_map(P, FACTOR),
     "enumerate_one_step": enumerate_one_step,
     "vertex_weights": vertex_weights,
     "weights_of": weights_of,
@@ -93,3 +93,34 @@ def test_a_fano_polygon_is_read_no_further(call, reads):
     # while a bare list is hulled once
     call(P2.vertices[::-1])
     assert reads["convex_hull"] == 1
+
+
+NON_PAIRS = {
+    "find_factors-triple": (lambda: find_factors(P2, (0, 1, 2)),
+                            "width (0, 1, 2) must be a pair"),
+    "find_factors-int": (lambda: find_factors(P2, 5), "width 5 must be a pair"),
+    "Factor-width": (lambda: Factor((0, 1, 5), (1, 0), 1),
+                     "width (0, 1, 5) must be a pair"),
+    "Factor-direction": (lambda: Factor((0, 1), (1, 0, 0), 1),
+                         "direction (1, 0, 0) must be a pair"),
+    "find_factors-list": (lambda: find_factors(P2, [1, 0, 0]),
+                          "width (1, 0, 0) must be a pair"),
+    "Factor-replace": (lambda: FACTOR._replace(w=(0, 1, 2)),
+                       "width (0, 1, 2) must be a pair"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_PAIRS.values(), ids=NON_PAIRS.keys())
+def test_a_width_that_is_not_a_pair_is_refused_by_name(call, message):
+    with pytest.raises(InvalidFactor) as info:
+        call()
+    assert type(info.value) is InvalidFactor
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("width", [(0, 1.5, 2), 5.0, None],
+                         ids=["float-entry", "float", "none"])
+def test_a_width_with_no_integer_raises_type_error(width):
+    # entries are read before the count, as every integer is read
+    with pytest.raises(TypeError):
+        find_factors(P2, width)

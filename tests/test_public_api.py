@@ -1,4 +1,7 @@
+import pytest
+
 import fwpp
+from fwpp import diophantine, fwps, lattice, mutation, pell357
 
 # The names `from fwpp import *` gives. A rename or removal shows up here
 # as a diff of this list.
@@ -21,7 +24,6 @@ PUBLIC_NAMES = [
     "QuotientSingularity",
     "SquareFreeDecomposition",
     "admissible_widths",
-    "apply_dual_map",
     "build_mutation_tree",
     "canonical_form",
     "cone_singularity",
@@ -30,7 +32,6 @@ PUBLIC_NAMES = [
     "descend_to_minimal",
     "diophantine",
     "dual_polygon",
-    "edge_lattice_length",
     "enumerate_one_step",
     "find_factors",
     "fwps",
@@ -61,3 +62,76 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(fwpp.__all__) == PUBLIC_NAMES
+
+
+# The public names each module defines itself, fwpp.__all__ or not.
+MODULE_NAMES = {
+    "fwpp.lattice": [
+        "FanoPolygon", "LatticeError", "MalformedPolygon", "NonConvexPolygon",
+        "NonPrimitiveVertex", "OriginNotInterior", "bezout", "canonical_cycle",
+        "convex_hull", "decimal_to_int", "degree", "det", "dual_polygon",
+        "edges", "format_ints", "int_to_decimal", "is_primitive",
+        "make_fano_triangle", "pairing", "polygon_from_obj", "polygon_to_obj",
+        "polygon_vertices", "triangle_from_json", "triangle_to_json",
+        "validate_fano_polygon",
+    ],
+    "fwpp.mutation": [
+        "Factor", "InvalidFactor", "InvalidMutationData", "admissible_widths",
+        "canonical_form", "enumerate_one_step", "find_factors", "mutate_with",
+        "unimodular_equivalent",
+    ],
+    "fwpp.fwps": [
+        "DegenerateCone", "FwpsInvariants", "NotDivisible", "QuotientSingularity",
+        "cone_singularity", "is_T_singularity", "is_well_formed",
+        "mutate_weights", "one_step_targets", "quotient_singularity",
+        "vertex_weights", "weights_of", "wps_triangle",
+    ],
+    "fwpp.diophantine": [
+        "DiophantineEquation", "GeneralDerivation", "MutationTree", "NonIntegral",
+        "SquareFreeDecomposition", "TreeNode", "build_mutation_tree",
+        "derive_equation", "descend_to_minimal", "height", "minimal_solutions",
+        "mutate_solution", "slice_roots", "square_free_decompose", "tree_to_dot",
+        "tree_to_json", "verify_solution",
+    ],
+    "fwpp.pell357": [
+        "Component", "NotASolution", "component_of", "family_a1_fixed",
+        "family_a2_fixed", "is_solution", "scan_components", "solution_weights",
+    ],
+}
+
+
+def defined_names(module):
+    """The sorted public names that the module defines: no leading
+    underscore, and a __module__ naming the module, so that imported names
+    and instances of other modules' types (pell357.EQUATION) are left
+    out."""
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("_")
+                  and getattr(value, "__module__", None) == module.__name__)
+
+
+MODULES = [lattice, mutation, fwps, diophantine, pell357]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_names_are_pinned(module):
+    assert defined_names(module) == MODULE_NAMES[module.__name__]
+
+
+def test_every_module_is_pinned():
+    assert sorted(m.__name__ for m in MODULES) == sorted(MODULE_NAMES)
+
+
+def test_an_added_name_is_reported(monkeypatch):
+    def added():
+        pass
+
+    added.__module__ = pell357.__name__
+    monkeypatch.setattr(pell357, "added", added, raising=False)
+    assert defined_names(pell357) == sorted(MODULE_NAMES["fwpp.pell357"] + ["added"])
+
+
+def test_a_removed_name_is_reported(monkeypatch):
+    monkeypatch.delattr(pell357, "is_solution")
+    assert "is_solution" not in defined_names(pell357)
+    assert defined_names(pell357) != MODULE_NAMES["fwpp.pell357"]

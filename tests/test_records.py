@@ -22,7 +22,7 @@ from fwpp import (
     wps_triangle,
 )
 from fwpp.diophantine import TreeNode
-from fwpp.pell357 import Component, QuadraticSlice, component_of, solve_quadratic_357
+from fwpp.pell357 import Component, component_of
 
 
 def _records():
@@ -35,7 +35,6 @@ def _records():
         square_free_decompose(12),
         eq,
         derivation,
-        solve_quadratic_357(1, 1),
         component_of((2, 1, 1)),
         build_mutation_tree((1, 1, 1), max_depth=1),
         build_mutation_tree((1, 1, 1), max_depth=1).nodes[1],
@@ -44,7 +43,7 @@ def _records():
 
 def test_records_are_named_tuples_of_the_public_types():
     types = [Factor, QuotientSingularity, FwpsInvariants, SquareFreeDecomposition,
-             DiophantineEquation, GeneralDerivation, QuadraticSlice, Component,
+             DiophantineEquation, GeneralDerivation, Component,
              MutationTree, TreeNode]
     for record, cls in zip(_records(), types, strict=True):
         assert type(record) is cls
@@ -71,7 +70,6 @@ def test_reprs_are_pinned():
         square_free_decompose(12),
         eq,
         derivation,
-        solve_quadratic_357(1, 2),
         component_of((2, 1, 1)),
         tree.root,
         tree.nodes[1],
@@ -82,7 +80,6 @@ def test_reprs_are_pinned():
         "SquareFreeDecomposition(c=3, a=2)",
         "DiophantineEquation(m=3, k=1, c=(1, 1, 1), r=1)",
         "GeneralDerivation(d=1, S=1, T=1, g=1)",
-        "QuadraticSlice(a1=1, a2=2, roots=None)",
         "Component(solutions=((2, 1, 1),))",
         "TreeNode(weights=(1, 1, 1), depth=0, parent=None, pivot=None,"
         " truncated=False)",
