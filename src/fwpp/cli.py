@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Every subcommand reads plain arguments or a triangle JSON document
+Every subcommand reads plain arguments or a polygon JSON document
 ({"vertices": [[x, y], ...]}, decimal-string coordinates) from a file path
 or '-' for stdin, and writes a deterministic document: JSON with sorted
 keys and decimal-string integers, plain text, or DOT for trees.
@@ -18,8 +18,8 @@ from . import diophantine, fwps, lattice, mutation, pell357
 _text = lattice.format_ints
 
 
-def _load_triangle(path: str) -> lattice.FanoPolygon:
-    """The triangle document at the path, or on stdin for '-'."""
+def _load_polygon(path: str) -> lattice.FanoPolygon:
+    """The polygon document at the path, or on stdin for '-'."""
     if path == "-":
         return lattice.triangle_from_json(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
@@ -67,15 +67,18 @@ def _emit(args, obj, text_lines, dot=None):
 
 
 def _parse_point(text: str) -> tuple[int, int]:
-    """'x,y' or '(x, y)': spaces around a coordinate are allowed."""
-    parts = text.replace("(", "").replace(")", "").split(",")
+    """'x,y' or '(x, y)', with spaces around the point and each coordinate."""
+    point = text.strip(" ")
+    if point[:1] + point[-1:] == "()":
+        point = point[1:-1]
+    parts = point.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
     return tuple(lattice.decimal_to_int(part.strip(" ")) for part in parts)
 
 
 def cmd_analyze(args) -> int:
-    P = _load_triangle(args.input)
+    P = _load_polygon(args.input)
     inv = fwps.weights_of(P)
     edges = []
     for u, v in zip(P, P[1:] + P[:1]):
@@ -107,7 +110,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    P = _load_triangle(args.input)
+    P = _load_polygon(args.input)
     factor = mutation.Factor(w=args.width, f=args.factor, length=args.length)
     Q = mutation.mutate_with(P, factor)
     obj = lattice.polygon_to_obj(Q)
@@ -116,7 +119,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    P = _load_triangle(args.input)
+    P = _load_polygon(args.input)
     results = mutation.enumerate_one_step(P, triangles_only=args.triangles_only)
     obj = {"mutations": [{"factor": f._asdict(), **lattice.polygon_to_obj(Q)}
                          for f, Q in results]}
@@ -223,23 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the document to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def triangle_cmd(name, func, help_):
+    def polygon_cmd(name, func, help_):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("input", help="triangle JSON file, or '-' for stdin")
+        p.add_argument("input", help="polygon JSON file, or '-' for stdin")
         p.set_defaults(func=func)
         return p
 
-    triangle_cmd("analyze", cmd_analyze,
-                 "weights, mult, degree, and edge singularities")
+    polygon_cmd("analyze", cmd_analyze,
+                "weights, mult, degree, and edge singularities of a triangle")
 
-    p = triangle_cmd("mutate", cmd_mutate, "apply one combinatorial mutation")
+    p = polygon_cmd("mutate", cmd_mutate, "apply one mutation to a polygon")
     p.add_argument("--width", type=_parse_point, required=True, help="w as 'a,b'")
     p.add_argument("--factor", type=_parse_point, required=True,
                    help="factor direction f as 'x,y'")
     p.add_argument("--length", type=_positive_int, default=1)
 
-    p = triangle_cmd("enumerate", cmd_enumerate,
-                     "all one-step mutations up to equivalence")
+    p = polygon_cmd("enumerate", cmd_enumerate,
+                    "all one-step mutations of a polygon up to equivalence")
     p.add_argument("--triangles-only", action="store_true")
 
     def weights_cmd(name, func, help_):

@@ -73,7 +73,9 @@ def square_free_decompose(n: int) -> SquareFreeDecomposition:
     Trial division by the primes below _TRIAL_LIMIT settles every n whose
     cofactor is below _TRIAL_LIMIT**3; only a larger cofactor is handed to
     sympy, which is imported here because its import costs more than the
-    rest of fwpp.
+    rest of fwpp. That factoring has no time bound: a cofactor that is the
+    product of two 62-bit primes takes seconds, and the time grows with
+    its size.
     """
     n = index(n)
     if n < 1:
@@ -121,7 +123,8 @@ def derive_equation(weights):
     The order of the input weights is preserved in the coefficients c_i and
     in the solution, so callers can keep the labelling of their plane.
 
-    Only the minimal weights of the component are factored. The equation
+    Only the minimal weights of the component are factored, with no time
+    bound past trial division (see square_free_decompose). The equation
     is an invariant of the component: the degree is, and a mutation
     lambda_p -> lambda_p' keeps the square-free part, since
     lambda_p * lambda_p' = (lambda_i + lambda_j)^2. So the square-free

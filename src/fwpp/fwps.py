@@ -16,6 +16,7 @@ from .lattice import (
     FanoPolygon,
     LatticeError,
     Point,
+    _pair,
     bezout,
     det,
     format_ints,
@@ -131,8 +132,9 @@ def quotient_singularity(r: int, a: int, b: int) -> QuotientSingularity:
 
 def cone_singularity(u, v) -> QuotientSingularity:
     """Singularity type of the two-dimensional cone spanned by the primitive
-    lattice points u and v, from one Bezout pair of u and one inverse."""
-    u, v = tuple(u), tuple(v)
+    lattice points u and v, from one Bezout pair of u and one inverse. A
+    generator that is not a pair raises lattice.MalformedPolygon."""
+    u, v = _pair(u, "cone generator"), _pair(v, "cone generator")
     if not (is_primitive(u) and is_primitive(v)):
         raise ValueError("cone generators must be primitive")
     r = abs(det(u, v))

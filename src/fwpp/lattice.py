@@ -42,7 +42,7 @@ class NonConvexPolygon(LatticeError):
 
 class MalformedPolygon(LatticeError):
     """A polygon document that is not {"vertices": [[x, y], ...]} with
-    integer or decimal-string coordinates."""
+    integer or decimal-string coordinates, or a point that is not a pair."""
 
 
 def det(u, v):
@@ -53,7 +53,7 @@ def det(u, v):
 def is_primitive(p) -> bool:
     """True iff p is a nonzero lattice point with coprime coordinates."""
     x, y = p
-    return (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
+    return gcd(x, y) == 1  # gcd(0, 0) == 0
 
 
 def bezout(x: int, y: int) -> tuple[int, int]:
@@ -164,10 +164,22 @@ def make_fano_triangle(v0, v1, v2) -> FanoPolygon:
     return FanoPolygon((v0, v1, v2))
 
 
+def _pair(p, name, read=index, error=MalformedPolygon):
+    """The one reader of a point: two entries, each read by read, else
+    error quoting it, so a lone int is refused as a non-pair; an entry
+    that read refuses, such as a float, raises TypeError."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        p = p if isinstance(p, int) else tuple(map(read, p))
+        raise error(f"{name} {format_ints(p)} must be a pair") from None
+    return read(x), read(y)
+
+
 def polygon_vertices(P):
-    """A vertex sequence in the order given and unchecked, with its
-    coordinates read by operator.index."""
-    return tuple((index(x), index(y)) for x, y in P)
+    """A vertex sequence in the order given and unchecked, each vertex read
+    by _pair, its coordinates by operator.index."""
+    return tuple(_pair(p, "vertex") for p in P)
 
 
 def _rational(x):
@@ -186,7 +198,7 @@ def dual_polygon(P):
     if isinstance(P, FanoPolygon):
         vs = P
     else:
-        vs = convex_hull([(_rational(x), _rational(y)) for x, y in P])
+        vs = convex_hull([_pair(p, "vertex", _rational) for p in P])
         _check_origin_interior(vs)
     duals = []
     for p, q in zip(vs, vs[1:] + vs[:1]):
@@ -339,7 +351,4 @@ def triangle_from_json(text: str) -> FanoPolygon:
         obj = json.loads(text, parse_int=decimal_to_int)
     except RecursionError:
         raise MalformedPolygon("the document is nested too deeply") from None
-    vs = polygon_from_obj(obj)
-    if len(vs) != 3:
-        raise ValueError(f"expected 3 vertices, got {len(vs)}")
-    return make_fano_triangle(*vs)
+    return FanoPolygon(polygon_from_obj(obj))

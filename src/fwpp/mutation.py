@@ -34,6 +34,7 @@ from operator import index
 from .lattice import (
     FanoPolygon,
     LatticeError,
+    _pair,
     bezout,
     convex_hull,
     det,
@@ -78,12 +79,9 @@ class Factor(namedtuple("Factor", "w f length")):
 
 
 def _primitive_pair(v, name) -> tuple[int, int]:
-    """The one reader of a width or a direction: entries read with
-    operator.index, two of them and primitive, else InvalidFactor (so a
-    lone int is refused as a non-pair)."""
-    v = v if isinstance(v, int) else tuple(map(index, v))
-    if isinstance(v, int) or len(v) != 2:
-        raise InvalidFactor(f"{name} {format_ints(v)} must be a pair")
+    """The one reader of a width or a direction: a point read by
+    lattice._pair and primitive, else InvalidFactor."""
+    v = _pair(v, name, error=InvalidFactor)
     if not is_primitive(v):
         raise InvalidFactor(f"{name} {format_ints(v)} must be primitive")
     return v

@@ -19,7 +19,7 @@ from fwpp.lattice import (
     triangle_from_json,
     triangle_to_json,
 )
-from fwpp.mutation import enumerate_one_step
+from fwpp.mutation import Factor, enumerate_one_step, mutate_with
 
 P2_JSON = triangle_to_json(make_fano_triangle((1, -1), (-1, 2), (0, -1)))
 
@@ -96,6 +96,46 @@ class TestEnumerate:
         doc = json.loads(out)
         assert len(doc["mutations"]) == 1
         assert doc["mutations"][0]["factor"]["length"] == "1"
+
+
+class TestPolygonDocuments:
+    """mutate and enumerate read any Fano polygon, so each polygon that
+    enumerate writes reads back; analyze takes a triangle only."""
+
+    QUAD = ((-1, -4), (1, 0), (0, 1), (-1, -1))
+
+    @pytest.fixture
+    def quad_file(self, capsys, tmp_path):
+        w123 = tmp_path / "w123.json"
+        w123.write_text('{"vertices": [["-2","-3"],["1","0"],["0","1"]]}')
+        code, out, _ = run(capsys, ["enumerate", str(w123)])
+        assert code == 0
+        written = [m["vertices"] for m in json.loads(out)["mutations"]]
+        doc = {"vertices": [[str(x), str(y)] for x, y in self.QUAD]}
+        assert doc["vertices"] in written
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_enumerate_reads_a_written_quadrilateral(self, capsys, quad_file):
+        code, out, err = run(capsys, ["--format", "text", "enumerate", quad_file])
+        assert (code, err) == (0, "")
+        classes = enumerate_one_step(self.QUAD)
+        assert len(classes) == 5
+        assert out.splitlines() == ["5 mutation class(es)"] + [
+            f"w={f.w} f={f.f} l={f.length}: {list(Q)}" for f, Q in classes]
+
+    def test_mutate_reads_a_written_quadrilateral(self, capsys, quad_file):
+        code, out, err = run(capsys, ["--format", "text", "mutate", quad_file,
+                                      "--width", "1,0", "--factor", "0,-1"])
+        assert (code, err) == (0, "")
+        Q = mutate_with(self.QUAD, Factor(w=(1, 0), f=(0, -1), length=1))
+        assert out.splitlines() == [str(list(v)) for v in Q]
+
+    def test_analyze_refuses_a_quadrilateral(self, capsys, quad_file):
+        code, out, err = run(capsys, ["analyze", quad_file])
+        assert (code, out) == (1, "")
+        assert err == "error: expected 3 vertices, got 4\n"
 
 
 class TestWeightsMutate:
@@ -365,6 +405,14 @@ class TestIntegerArguments:
             assert (code, err) == (0, "")
             outputs.add(out)
         assert len(outputs) == 1
+
+    # One pair of parentheses around the whole point, or none.
+    @pytest.mark.parametrize("token", ["(0,1", ")0,1(", "((0,1))", "0,1)"])
+    def test_unbalanced_parentheses_refused(self, capsys, p2_file, token):
+        with pytest.raises(SystemExit) as info:
+            main(["mutate", p2_file, f"--width={token}", "--factor=1,0"])
+        out, _ = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
 
     def test_five_thousand_digit_weight(self, capsys):
         n = 10**4999 + 1

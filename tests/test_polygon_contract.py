@@ -3,15 +3,23 @@ through FanoPolygon(P), so a bare list that is not a Fano polygon is
 refused with exactly the class and message that FanoPolygon(list) raises,
 and a FanoPolygon is passed through as it is, read no further. Only
 dual_polygon is left out: it accepts rational input, so that the dual of a
-dual works. The width and direction of a factor have their own reader,
-which refuses a non-pair by name and quotes it."""
+dual works. A point that is not a pair, whether a vertex, a cone
+generator, or the width or direction of a factor, is refused by name and
+quoted."""
 
 from collections import Counter
 
 import pytest
 
-from fwpp.fwps import vertex_weights, weights_of, wps_triangle
-from fwpp.lattice import FanoPolygon, degree, dual_polygon, edges, make_fano_triangle
+from fwpp.fwps import cone_singularity, vertex_weights, weights_of, wps_triangle
+from fwpp.lattice import (
+    FanoPolygon,
+    MalformedPolygon,
+    degree,
+    dual_polygon,
+    edges,
+    make_fano_triangle,
+)
 from fwpp.mutation import (
     Factor,
     InvalidFactor,
@@ -124,3 +132,39 @@ def test_a_width_with_no_integer_raises_type_error(width):
     # entries are read before the count, as every integer is read
     with pytest.raises(TypeError):
         find_factors(P2, width)
+
+
+NON_PAIR_POINTS = {
+    "FanoPolygon": (lambda: FanoPolygon([(1, 0, 0), (0, 1), (-1, -1)]),
+                    "vertex (1, 0, 0) must be a pair"),
+    "degree": (lambda: degree([(1, 0, 0), (0, 1), (-1, -1)]),
+               "vertex (1, 0, 0) must be a pair"),
+    "dual_polygon": (lambda: dual_polygon([(1, 0, 0), (0, 1), (-1, -1)]),
+                     "vertex (1, 0, 0) must be a pair"),
+    "dual_polygon-int": (lambda: dual_polygon([(1, 0), 5, (-1, -1)]),
+                         "vertex 5 must be a pair"),
+    "cone_singularity-triple": (lambda: cone_singularity((1, 0, 0), (0, 1)),
+                                "cone generator (1, 0, 0) must be a pair"),
+    "cone_singularity-int": (lambda: cone_singularity(5, (0, 1)),
+                             "cone generator 5 must be a pair"),
+    "cone_singularity-single": (lambda: cone_singularity((1, 0), [1]),
+                                "cone generator (1) must be a pair"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_PAIR_POINTS.values(),
+                         ids=NON_PAIR_POINTS.keys())
+def test_a_point_that_is_not_a_pair_is_refused_by_name(call, message):
+    with pytest.raises(MalformedPolygon) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FanoPolygon([(1.0, 0, 0), (0, 1), (-1, -1)]),
+    lambda: dual_polygon([(0.5, 0, 0), (0, 1), (-1, -1)]),
+    lambda: cone_singularity((1.0, 0, 0), (0, 1)),
+], ids=["FanoPolygon", "dual_polygon", "cone_singularity"])
+def test_a_point_with_a_float_entry_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()

@@ -1,73 +1,25 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import fwpp
 from fwpp import pell357
 
-# The names `from fwpp import *` gives. A rename or removal shows up here
-# as a diff of this list.
-PUBLIC_NAMES = [
-    "DegenerateCone",
-    "DiophantineEquation",
-    "Factor",
-    "FanoPolygon",
-    "FwpsInvariants",
-    "GeneralDerivation",
-    "InvalidFactor",
-    "InvalidMutationData",
-    "LatticeError",
-    "MutationTree",
-    "NonConvexPolygon",
-    "NonIntegral",
-    "NonPrimitiveVertex",
-    "NotDivisible",
-    "OriginNotInterior",
-    "QuotientSingularity",
-    "SquareFreeDecomposition",
-    "admissible_widths",
-    "build_mutation_tree",
-    "canonical_form",
-    "cone_singularity",
-    "degree",
-    "derive_equation",
-    "descend_to_minimal",
-    "diophantine",
-    "dual_polygon",
-    "enumerate_one_step",
-    "find_factors",
-    "fwps",
-    "height",
-    "is_T_singularity",
-    "is_primitive",
-    "is_well_formed",
-    "lattice",
-    "make_fano_triangle",
-    "mutate_solution",
-    "mutate_weights",
-    "mutate_with",
-    "mutation",
-    "one_step_targets",
-    "pell357",
-    "quotient_singularity",
-    "square_free_decompose",
-    "tree_to_dot",
-    "tree_to_json",
-    "triangle_from_json",
-    "triangle_to_json",
-    "unimodular_equivalent",
-    "verify_solution",
-    "weights_of",
-    "wps_triangle",
-]
+# The names `from fwpp import *` gives: the five library modules. Each
+# public name lives in one of them, so the root restates none.
+PUBLIC_NAMES = ["diophantine", "fwps", "lattice", "mutation", "pell357"]
 
 
 def test_public_names_are_pinned():
-    assert sorted(fwpp.__all__) == PUBLIC_NAMES
+    assert fwpp.__all__ == PUBLIC_NAMES
 
 
-# The public names each module defines itself, fwpp.__all__ or not.
+# The public names each module defines itself.
 MODULE_NAMES = {
     "fwpp.lattice": [
         "FanoPolygon", "LatticeError", "MalformedPolygon", "NonConvexPolygon",
@@ -140,3 +92,23 @@ def test_a_removed_name_is_reported(monkeypatch):
     monkeypatch.delattr(pell357, "is_solution")
     assert "is_solution" not in defined_names(pell357)
     assert defined_names(pell357) != MODULE_NAMES["fwpp.pell357"]
+
+
+def test_a_bare_import_reaches_every_name():
+    """In a fresh interpreter, `import fwpp` alone reaches each pinned name
+    as fwpp.<module>.<name>."""
+    script = """if True:
+        import json, sys
+        import fwpp
+        names = json.loads(sys.argv[1])
+        missing = [f"{m}.{n}" for m, ns in names.items() for n in ns
+                   if not hasattr(getattr(fwpp, m.split(".")[1], None), n)]
+        print(json.dumps(missing))
+    """
+    src = os.path.dirname(os.path.dirname(fwpp.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(MODULE_NAMES)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -5,23 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from fwpp import (
+from fwpp.diophantine import (
     DiophantineEquation,
-    Factor,
-    FwpsInvariants,
     GeneralDerivation,
-    InvalidFactor,
     MutationTree,
-    QuotientSingularity,
     SquareFreeDecomposition,
+    TreeNode,
     build_mutation_tree,
-    cone_singularity,
     derive_equation,
     square_free_decompose,
+)
+from fwpp.fwps import (
+    FwpsInvariants,
+    QuotientSingularity,
+    cone_singularity,
     weights_of,
     wps_triangle,
 )
-from fwpp.diophantine import TreeNode
+from fwpp.mutation import Factor, InvalidFactor
 from fwpp.pell357 import Component, component_of
 
 

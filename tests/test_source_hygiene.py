@@ -4,8 +4,9 @@ lattice.decimal_to_int reads integers written as text, and each checked
 type is built past its checks at one site only.
 
 There is no linter among the test dependencies, so this reads the modules
-with ast. The package's __init__.py is skipped by the import check: it
-imports only to re-export."""
+with ast. A name that a module-level __all__ lists counts as used, so the
+package's __init__.py may import its modules to export them, and an import
+into it that __all__ does not name is reported."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,6 @@ from pathlib import Path
 import pytest
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "fwpp").glob("*.py"))
-SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -27,18 +27,29 @@ def _imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _exported_names(tree):
+    """The strings of a module-level __all__ list or tuple."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            for elt in node.value.elts if isinstance(elt, ast.Constant)}
+
+
 def _used_names(tree):
     """Every ast.Name loaded, which includes the base of every attribute
-    chain."""
+    chain, and every name the module exports in __all__."""
     return {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            } | _exported_names(tree)
 
 
 def test_sources_found():
-    assert {"lattice.py", "mutation.py", "cli.py"} <= {p.name for p in SOURCES}
+    assert {"__init__.py", "lattice.py", "mutation.py", "cli.py"} <= {
+        p.name for p in PACKAGE}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = _used_names(tree)
@@ -52,6 +63,16 @@ def test_an_unused_import_is_reported():
                      "from math import gcd, prod\nprint(prod([2]))\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["json", "gcd"]
+
+
+def test_a_re_export_into_the_package_root_is_reported():
+    tree = ast.parse('"""Doc."""\n'
+                     "from . import lattice, mutation\n"
+                     "from .lattice import edges\n"
+                     '__all__ = ["lattice", "mutation"]\n'
+                     '__version__ = "0.1.0"\n')
+    used = _used_names(tree)
+    assert [n for n, _ in _imported_names(tree) if n not in used] == ["edges"]
 
 
 def _private_definitions(tree):
