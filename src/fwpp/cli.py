@@ -72,9 +72,11 @@ def _parse_point(text: str) -> tuple[int, int]:
     if point[:1] + point[-1:] == "()":
         point = point[1:-1]
     parts = point.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
-    return tuple(lattice.decimal_to_int(part.strip(" ")) for part in parts)
+    try:  # a count other than two fails the unpacking, as a ValueError
+        x, y = (lattice.decimal_to_int(part.strip(" ")) for part in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}") from None
+    return x, y
 
 
 def cmd_analyze(args) -> int:
@@ -208,10 +210,20 @@ def cmd_pell(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer argument, read by lattice.decimal_to_int. argparse names
+    a type function that raises ValueError, so a refusal is an
+    ArgumentTypeError that says what was expected."""
+    try:
+        return lattice.decimal_to_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    n = lattice.decimal_to_int(text)
+    n = _integer(text)
     if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
 
 
@@ -257,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = weights_cmd("weights-mutate", cmd_weights_mutate,
                     "mutate a weight triple at a pivot")
     # fwps.mutate_weights checks the range, for a pivot of any size
-    p.add_argument("--pivot", type=lattice.decimal_to_int, metavar="{0,1,2}",
+    p.add_argument("--pivot", type=_integer, metavar="{0,1,2}",
                    required=True)
 
     weights_cmd("minimal", cmd_minimal, "descend to the minimal weights")
@@ -271,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsing", help="classify a quotient singularity 1/r(a,b)")
     p.add_argument("r", type=_positive_int)
-    p.add_argument("a", type=lattice.decimal_to_int)
-    p.add_argument("b", type=lattice.decimal_to_int)
+    p.add_argument("a", type=_integer)
+    p.add_argument("b", type=_integer)
     p.set_defaults(func=cmd_tsing)
 
     p = sub.add_parser("pell", help="terms of the Pell families of the 3-5-7 equation")
@@ -296,7 +308,7 @@ def main(argv=None) -> int:
         if args.format == "dot" and args.command != "tree":
             raise ValueError("dot output is only available for 'tree'")
         return args.func(args)
-    except (lattice.LatticeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,9 +7,8 @@ Points are plain tuples. A polygon is a tuple of points counterclockwise from
 its lex-min vertex, so equality is tuple equality. FanoPolygon(P) reads a
 polygon: a bare point sequence, in any order, as its convex hull, checked
 once, into a FanoPolygon (of any vertex count), and a FanoPolygon as it is.
-edges and degree read their polygon that way, and bezout takes a primitive
-point; only dual_polygon accepts non-primitive and rational input, so that
-the dual of a dual works.
+edges, degree and dual_polygon read their polygon that way, and bezout
+takes a primitive point.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ class NonPrimitiveVertex(LatticeError):
 
 
 class OriginNotInterior(LatticeError):
-    pass
-
-
-class NonConvexPolygon(LatticeError):
     pass
 
 
@@ -91,44 +86,22 @@ def convex_hull(points):
     return tuple(lower[:-1] + upper[:-1])
 
 
-def _check_origin_interior(vertices) -> None:
-    """Raise unless there are at least three vertices and the origin lies
-    strictly to the left of every edge, det(v_i, v_(i+1)) > 0."""
-    k = len(vertices)
-    if k < 3:
+def _check_fano_hull(vertices) -> None:
+    """Raise unless vertices, as convex_hull returns them, form a Fano
+    polygon: primitive vertices, at least three of them, and the origin
+    strictly left of every edge, det(v_i, v_(i+1)) > 0. A hull turns
+    strictly left at every vertex and winds once around each point
+    strictly inside it, so nothing else can fail."""
+    for v in vertices:
+        if not is_primitive(v):
+            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
+    if len(vertices) < 3:
         raise OriginNotInterior(f"degenerate polygon {format_ints(vertices)}")
-    for i in range(k):
-        p, q = vertices[i], vertices[(i + 1) % k]
+    for p, q in zip(vertices, vertices[1:] + vertices[:1]):
         if det(p, q) <= 0:
             raise OriginNotInterior(
                 f"origin not strictly interior (edge {format_ints(p)} -> {format_ints(q)})"
             )
-
-
-def validate_fano_polygon(vertices) -> None:
-    """Raise unless vertices form a CCW convex polygon with primitive
-    vertices and the origin strictly interior.
-
-    With the origin left of every edge, a strict left turn at every vertex
-    and one turn around the origin make the polygon convex. The turns are
-    counted as the edges that cross the positive x-axis upwards."""
-    for v in vertices:
-        if not is_primitive(v):
-            raise NonPrimitiveVertex(f"vertex {format_ints(v)} is not primitive")
-    _check_origin_interior(vertices)
-    k = len(vertices)
-    windings = 0
-    for i in range(k):
-        o, p, q = vertices[i - 1], vertices[i], vertices[(i + 1) % k]
-        if _cross(o, p, q) <= 0:
-            raise NonConvexPolygon(
-                f"polygon is not strictly convex at vertex {format_ints(p)}")
-        if p[1] < 0 <= q[1]:
-            windings += 1
-    if windings != 1:
-        raise NonConvexPolygon(
-            f"vertices {format_ints(tuple(vertices))} wind around the origin"
-            f" {windings} times")
 
 
 class FanoPolygon(tuple):
@@ -137,8 +110,7 @@ class FanoPolygon(tuple):
     vertex. It is a tuple of points, so it equals and hashes as one.
     FanoPolygon(points) is the one reader of a polygon: a FanoPolygon is
     returned as it is, and any other sequence of lattice points, in any
-    order and with any points inside, as its convex hull, checked by
-    validate_fano_polygon."""
+    order and with any points inside, as its convex hull, checked once."""
 
     __slots__ = ()
 
@@ -146,7 +118,7 @@ class FanoPolygon(tuple):
         if isinstance(points, FanoPolygon):
             return points
         vs = convex_hull(polygon_vertices(points))
-        validate_fano_polygon(vs)
+        _check_fano_hull(vs)
         return super().__new__(cls, vs)
 
     @property
@@ -164,16 +136,16 @@ def make_fano_triangle(v0, v1, v2) -> FanoPolygon:
     return FanoPolygon((v0, v1, v2))
 
 
-def _pair(p, name, read=index, error=MalformedPolygon):
-    """The one reader of a point: two entries, each read by read, else
-    error quoting it, so a lone int is refused as a non-pair; an entry
-    that read refuses, such as a float, raises TypeError."""
+def _pair(p, name, error=MalformedPolygon):
+    """The one reader of a point: two entries, each read by operator.index,
+    else error quoting it, so a lone int is refused as a non-pair; an entry
+    that is no integer, such as a float, raises TypeError."""
     try:
         x, y = p
     except (TypeError, ValueError):
-        p = p if isinstance(p, int) else tuple(map(read, p))
+        p = p if isinstance(p, int) else tuple(map(index, p))
         raise error(f"{name} {format_ints(p)} must be a pair") from None
-    return read(x), read(y)
+    return index(x), index(y)
 
 
 def polygon_vertices(P):
@@ -182,30 +154,12 @@ def polygon_vertices(P):
     return tuple(_pair(p, "vertex") for p in P)
 
 
-def _rational(x):
-    """x as an exact rational: a Fraction as it is, anything else read with
-    operator.index, so a float raises TypeError."""
-    return x if isinstance(x, Fraction) else index(x)
-
-
 def dual_polygon(P):
-    """Vertices of the dual polygon {u : u(v) >= -1 for all v in P}.
-
-    One rational vertex per edge of the convex hull of P, which must hold
-    the origin strictly inside; accepts integer or Fraction input, so
-    applying it twice recovers the original vertex set.
-    """
-    if isinstance(P, FanoPolygon):
-        vs = P
-    else:
-        vs = convex_hull([_pair(p, "vertex", _rational) for p in P])
-        _check_origin_interior(vs)
-    duals = []
-    for p, q in zip(vs, vs[1:] + vs[:1]):
-        d = Fraction(det(p, q))
-        duals.append((Fraction(p[1] - q[1]) / d, Fraction(q[0] - p[0]) / d))
-    # the hull's edges give distinct dual vertices, already counterclockwise
-    return canonical_cycle(duals)
+    """Vertices of the dual polygon {u : u(v) >= -1 for all v in P} of the
+    Fano polygon P, read by FanoPolygon(P): the vertex w / h of each row
+    (w, h, L) of edges(P), as Fractions, from the lex-min one."""
+    return canonical_cycle([(Fraction(a, h), Fraction(b, h))
+                            for (a, b), h, _ in edges(P)])
 
 
 def pairing(w, v):
@@ -294,7 +248,9 @@ def format_ints(value) -> str:
             return num
         return f"{num}/{int_to_decimal(value.denominator)}"
     inner = ", ".join(format_ints(v) for v in value)
-    return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    if isinstance(value, list):
+        return f"[{inner}]"
+    return f"({inner},)" if len(value) == 1 else f"({inner})"
 
 
 def polygon_to_obj(vertices) -> dict:

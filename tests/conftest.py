@@ -61,12 +61,12 @@ def without_digit_limit():
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Counts of the calls of lattice.validate_fano_polygon and of
+    """Counts of the calls of lattice._check_fano_hull and of
     lattice.convex_hull, the two steps of reading a bare list. mutate_with
     hulls its output through mutation's own name for convex_hull, which is
     not counted."""
     counts = Counter()
-    for name in ("validate_fano_polygon", "convex_hull"):
+    for name in ("_check_fano_hull", "convex_hull"):
         def counted(*args, _real=getattr(lattice, name), _name=name):
             counts[_name] += 1
             return _real(*args)

@@ -23,10 +23,10 @@ from fwpp.fwps import (
     wps_triangle,
 )
 from fwpp.lattice import (
+    FanoPolygon,
     degree,
     dual_polygon,
     make_fano_triangle,
-    validate_fano_polygon,
 )
 from fwpp.mutation import (
     Factor,
@@ -141,7 +141,7 @@ def test_criterion_4_invariance_suite(capsys, corpus):
             mult = weights_of(P).mult
             for factor, Q in enumerate_one_step(P):
                 checked += 1
-                validate_fano_polygon(Q)
+                assert FanoPolygon(list(Q)) == Q
                 assert degree(Q) == d
                 assert mutate_with(Q, factor.inverse()) == P.vertices
                 if len(Q) == 3:

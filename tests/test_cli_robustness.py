@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwpp.cli import main
@@ -142,3 +143,47 @@ def test_every_run_exits_cleanly(invocation):
         assert out == ""
         out = written
     assert parses(fmt, out), out[:200]
+
+
+# One refused token for each integer or point argument, and the argument
+# and expectation argparse's message must name.
+REFUSED_ARGUMENTS = {
+    "L": (["weights-mutate", "1", "1", "x", "--pivot", "0"],
+          "argument L: expected an integer, got 'x'"),
+    "L-positive": (["minimal", "1", "0", "1"],
+                   "argument L: expected a positive integer, got '0'"),
+    "pivot": (["weights-mutate", "1", "1", "1", "--pivot", "x"],
+              "argument --pivot: expected an integer, got 'x'"),
+    "depth": (["tree", "1", "1", "1", "--depth", "1.5"],
+              "argument --depth: expected an integer, got '1.5'"),
+    "max-height": (["tree", "1", "1", "1", "--max-height", "-3"],
+                   "argument --max-height: expected a positive integer, got '-3'"),
+    "count": (["pell", "--family", "a1", "--count", "+3"],
+              "argument --count: expected an integer, got '+3'"),
+    "length": (["mutate", "p.json", "--width", "0,1", "--factor", "1,0",
+                "--length", "0x10"],
+               "argument --length: expected an integer, got '0x10'"),
+    "tsing-r": (["tsing", "0", "1", "1"],
+                "argument r: expected a positive integer, got '0'"),
+    "tsing-a": (["tsing", "5", "x", "1"], "argument a: expected an integer, got 'x'"),
+    "tsing-b": (["tsing", "5", "1", "1e3"],
+                "argument b: expected an integer, got '1e3'"),
+    "width": (["mutate", "p.json", "--width", "(0,1", "--factor", "1,0"],
+              "argument --width: expected 'x,y', got '(0,1'"),
+    "width-triple": (["mutate", "p.json", "--width", "0,1,2", "--factor", "1,0"],
+                     "argument --width: expected 'x,y', got '0,1,2'"),
+    "factor": (["mutate", "p.json", "--width", "0,1", "--factor", "1,y"],
+               "argument --factor: expected 'x,y', got '1,y'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_ARGUMENTS.values(),
+                         ids=REFUSED_ARGUMENTS.keys())
+def test_a_refused_argument_names_what_was_expected(argv, message):
+    """argparse quotes the __name__ of a type function that raises
+    ValueError, so each one raises ArgumentTypeError with its expectation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, _ = run(argv, None, False, tmp)
+    assert (code, out) == (("argparse", 2), "")
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert "invalid" not in err

@@ -31,13 +31,13 @@ from fwpp.fwps import (
     wps_triangle,
 )
 from fwpp.lattice import (
+    FanoPolygon,
     OriginNotInterior,
     degree,
     dual_polygon,
     format_ints,
     int_to_decimal,
     make_fano_triangle,
-    validate_fano_polygon,
 )
 from fwpp.mutation import (
     Factor,
@@ -135,7 +135,7 @@ N = 10**4400
     (lambda: wps_triangle(2 * N, 2, 1), ValueError, 2 * N),
     (lambda: derive_equation((0, 1, N)), ValueError, N),
     (lambda: find_factors(P2, (2 * N, 2)), InvalidFactor, 2 * N),
-    (lambda: validate_fano_polygon(((N, 1), (1, 0))), OriginNotInterior, N),
+    (lambda: FanoPolygon(((N, 1), (1, 0))), OriginNotInterior, N),
     (lambda: cone_singularity((1, N), (-1, -N)), DegenerateCone, N),
     (lambda: pell357.component_of((N, 1, 1)), pell357.NotASolution, N),
     (lambda: mutate_solution(MARKOV, (N, 1, 1), 0), NonIntegral, N - 3),
@@ -148,7 +148,7 @@ N = 10**4400
     (lambda: build_mutation_tree((1, 1, 1), max_depth=-N), ValueError, -N),
     (lambda: build_mutation_tree((1, 1, 1), max_height=-N), ValueError, -N),
 ], ids=["wps_triangle", "derive_equation", "find_factors",
-        "validate_fano_polygon", "cone_singularity", "component_of",
+        "FanoPolygon", "cone_singularity", "component_of",
         "mutate_solution", "mutate_solution-fraction", "mutate_with",
         "mutate_weights-pivot", "mutate_solution-pivot",
         "build_mutation_tree-depth", "build_mutation_tree-height"])

@@ -9,7 +9,6 @@ from fwpp.fwps import cone_singularity, is_T_singularity, wps_triangle
 from fwpp.lattice import (
     FanoPolygon,
     LatticeError,
-    NonConvexPolygon,
     NonPrimitiveVertex,
     OriginNotInterior,
     bezout,
@@ -18,13 +17,13 @@ from fwpp.lattice import (
     degree,
     dual_polygon,
     edges,
+    format_ints,
     int_to_decimal,
     is_primitive,
     make_fano_triangle,
     pairing,
     triangle_from_json,
     triangle_to_json,
-    validate_fano_polygon,
 )
 from fwpp.mutation import enumerate_one_step
 from slice_oracle import height_slice
@@ -130,7 +129,7 @@ class TestDual:
 
     def test_involution(self, corpus):
         for P in corpus[:60]:
-            again = dual_polygon(dual_polygon(P))
+            again = _rational_dual(dual_polygon(P))
             assert set(again) == {(Fraction(x), Fraction(y))
                                   for x, y in P.vertices}
 
@@ -138,14 +137,17 @@ class TestDual:
         square = [(-1, -1), (1, -1), (1, 0), (-1, 0)]
         with pytest.raises(OriginNotInterior, match=re.escape("edge (1, 0) -> (-1, 0)")):
             dual_polygon(square)
+        # a rational polygon is no Fano polygon, so its dual is not taken
         halves = [(Fraction(x, 2), Fraction(y, 2)) for x, y in square]
-        with pytest.raises(OriginNotInterior, match=re.escape("edge (1/2, 0) -> (-1/2, 0)")):
+        with pytest.raises(TypeError):
             dual_polygon(halves)
 
     def test_fraction_input_and_either_orientation(self):
         dual = dual_polygon(P2)
-        assert dual_polygon(list(dual)[::-1]) == dual_polygon(dual)
-        assert set(dual_polygon(dual)) == set(P2.vertices)
+        with pytest.raises(TypeError):
+            dual_polygon(dual)
+        assert set(_rational_dual(list(dual)[::-1])) == set(_rational_dual(dual))
+        assert set(_rational_dual(dual)) == set(P2.vertices)
         assert dual_polygon(list(P2.vertices)[::-1]) == dual
 
     def test_origin_interior_of_dual(self, corpus):
@@ -278,41 +280,53 @@ class TestDegree:
                 degree(vertices)
 
 
-def _degree_oracle(vertices):
-    """The degree the long way, in Fractions: one dual vertex per edge of
-    the vertex cycle as given, their convex hull, and twice its area."""
+def _rational_dual(vertices):
+    """One dual vertex per edge p -> q of the vertex cycle as given, in
+    Fractions: the u with u(p) = u(q) = -1. Its coordinates may be
+    rational, so it takes the dual of a dual, which dual_polygon refuses;
+    either orientation gives the same vertices."""
     k = len(vertices)
     duals = []
     for i in range(k):
         p, q = vertices[i], vertices[(i + 1) % k]
         d = Fraction(p[0] * q[1] - p[1] * q[0])
         duals.append((Fraction(p[1] - q[1]) / d, Fraction(q[0] - p[0]) / d))
-    dual = convex_hull(duals)
+    return duals
+
+
+def _degree_oracle(vertices):
+    """The degree the long way, in Fractions: one dual vertex per edge of
+    the vertex cycle as given, their convex hull, and twice its area."""
+    dual = convex_hull(_rational_dual(vertices))
     return sum((dual[i][0] * dual[(i + 1) % len(dual)][1]
                 - dual[i][1] * dual[(i + 1) % len(dual)][0]
                 for i in range(len(dual))), Fraction(0))
 
 
 class TestValidateFanoPolygon:
+    """A vertex list that is no convex counterclockwise cycle is never
+    taken as given: FanoPolygon reads it as its convex hull, the polygon
+    the list spans."""
+
     def test_dented_pentagon_rejected(self):
         dented = ((2, -1), (1, 0), (2, 1), (-1, 1), (-1, -1))
-        with pytest.raises(NonConvexPolygon, match=r"at vertex \(1, 0\)"):
-            validate_fano_polygon(dented)
+        assert FanoPolygon(dented) == convex_hull(dented) == (
+            (-1, -1), (2, -1), (2, 1), (-1, 1))
 
     def test_collinear_boundary_point_rejected(self):
-        with pytest.raises(NonConvexPolygon, match=r"at vertex \(1, 0\)"):
-            validate_fano_polygon(((1, -1), (1, 0), (1, 1), (-1, 0)))
+        line = ((1, -1), (1, 0), (1, 1), (-1, 0))
+        assert FanoPolygon(line) == convex_hull(line) == ((-1, 0), (1, -1), (1, 1))
 
     def test_pentagram_rejected(self):
         # every step turns left around the origin, but twice around
         star = ((-2, -1), (3, -1), (-1, 2), (-1, -3), (1, 2))
-        assert convex_hull(star) != star
-        with pytest.raises(NonConvexPolygon, match="2 times"):
-            validate_fano_polygon(star)
+        assert FanoPolygon(star) == convex_hull(star) == (
+            (-2, -1), (-1, -3), (3, -1), (1, 2), (-1, 2))
 
     def test_clockwise_rejected(self):
-        with pytest.raises(OriginNotInterior):
-            validate_fano_polygon(((1, 0), (-1, -1), (0, 1)))
+        clockwise = ((1, 0), (-1, -1), (0, 1))
+        assert FanoPolygon(clockwise) == convex_hull(clockwise) == (
+            (-1, -1), (1, 0), (0, 1))
 
 
 def _assert_edge_table(P):
@@ -393,6 +407,13 @@ class TestJson:
             text = int_to_decimal(n)
             assert text.lstrip("-")[0] != "0"
             assert decimal_to_int(text) == n
+
+    @pytest.mark.parametrize("value, text", [
+        ((1,), "(1,)"), ((), "()"), ((1, -2), "(1, -2)"), ([1], "[1]"),
+        (((1,), [2, (3,)]), "((1,), [2, (3,)])"), ((Fraction(1, 2),), "(1/2,)"),
+    ], ids=["one", "empty", "pair", "list-one", "nested", "fraction"])
+    def test_format_ints_punctuates_as_python_does(self, value, text):
+        assert format_ints(value) == text
 
     def test_weights_past_the_digit_limit_survive(self, max_growth_branch):
         P = wps_triangle(*max_growth_branch[-1])

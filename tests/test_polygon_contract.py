@@ -1,11 +1,9 @@
 """The polygon contract: every function that takes a Fano polygon reads it
 through FanoPolygon(P), so a bare list that is not a Fano polygon is
 refused with exactly the class and message that FanoPolygon(list) raises,
-and a FanoPolygon is passed through as it is, read no further. Only
-dual_polygon is left out: it accepts rational input, so that the dual of a
-dual works. A point that is not a pair, whether a vertex, a cone
-generator, or the width or direction of a factor, is refused by name and
-quoted."""
+and a FanoPolygon is passed through as it is, read no further. A point
+that is not a pair, whether a vertex, a cone generator, or the width or
+direction of a factor, is refused by name and quoted."""
 
 from collections import Counter
 
@@ -40,6 +38,7 @@ MALFORMED = {
     "origin-on-edge": [(-1, 0), (1, 0), (0, 1)],
     "origin-outside": [(1, 0), (0, 1), (1, 1)],
     "two-points": [(1, 0), (0, 1), (1, 0)],
+    "one-point": [(1, 0), (1, 0), (1, 0)],
     "float-coordinate": [(1.0, 0), (0, 1), (-1, -1)],
 }
 
@@ -55,6 +54,7 @@ READERS = {
     "enumerate_one_step": enumerate_one_step,
     "vertex_weights": vertex_weights,
     "weights_of": weights_of,
+    "dual_polygon": dual_polygon,
     "make_fano_triangle": lambda P: make_fano_triangle(*P),
 }
 
@@ -91,7 +91,7 @@ def test_a_fano_polygon_is_passed_through(P, reads):
 
 # make_fano_triangle takes points, not a polygon
 POLYGON_READERS = {name: call for name, call in READERS.items()
-                   if name != "make_fano_triangle"} | {"dual_polygon": dual_polygon}
+                   if name != "make_fano_triangle"}
 
 
 @pytest.mark.parametrize("call", POLYGON_READERS.values(), ids=POLYGON_READERS.keys())
@@ -113,6 +113,8 @@ NON_PAIRS = {
                          "direction (1, 0, 0) must be a pair"),
     "find_factors-list": (lambda: find_factors(P2, [1, 0, 0]),
                           "width (1, 0, 0) must be a pair"),
+    "find_factors-single": (lambda: find_factors(P2, (1,)),
+                            "width (1,) must be a pair"),
     "Factor-replace": (lambda: FACTOR._replace(w=(0, 1, 2)),
                        "width (0, 1, 2) must be a pair"),
 }
@@ -148,7 +150,7 @@ NON_PAIR_POINTS = {
     "cone_singularity-int": (lambda: cone_singularity(5, (0, 1)),
                              "cone generator 5 must be a pair"),
     "cone_singularity-single": (lambda: cone_singularity((1, 0), [1]),
-                                "cone generator (1) must be a pair"),
+                                "cone generator (1,) must be a pair"),
 }
 
 

@@ -22,13 +22,12 @@ def test_public_names_are_pinned():
 # The public names each module defines itself.
 MODULE_NAMES = {
     "fwpp.lattice": [
-        "FanoPolygon", "LatticeError", "MalformedPolygon", "NonConvexPolygon",
-        "NonPrimitiveVertex", "OriginNotInterior", "bezout", "canonical_cycle",
-        "convex_hull", "decimal_to_int", "degree", "det", "dual_polygon",
-        "edges", "format_ints", "int_to_decimal", "is_primitive",
-        "make_fano_triangle", "pairing", "polygon_from_obj", "polygon_to_obj",
-        "polygon_vertices", "triangle_from_json", "triangle_to_json",
-        "validate_fano_polygon",
+        "FanoPolygon", "LatticeError", "MalformedPolygon", "NonPrimitiveVertex",
+        "OriginNotInterior", "bezout", "canonical_cycle", "convex_hull",
+        "decimal_to_int", "degree", "det", "dual_polygon", "edges",
+        "format_ints", "int_to_decimal", "is_primitive", "make_fano_triangle",
+        "pairing", "polygon_from_obj", "polygon_to_obj", "polygon_vertices",
+        "triangle_from_json", "triangle_to_json",
     ],
     "fwpp.mutation": [
         "Factor", "InvalidFactor", "InvalidMutationData", "admissible_widths",

@@ -1,5 +1,6 @@
 """Every name a source module imports is used in that module, every
-module-level private name is used somewhere in the package, only
+module-level private name and every exception class is used somewhere in
+the package, only
 lattice.decimal_to_int reads integers written as text, and each checked
 type is built past its checks at one site only.
 
@@ -9,6 +10,7 @@ package's __init__.py may import its modules to export them, and an import
 into it that __all__ does not name is reported."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,70 @@ def test_an_unreferenced_private_name_is_reported():
     assert _unreferenced_private_names(modules) == [
         "a.py: _spare (line 2)", "a.py: _dead (line 5)",
         "a.py: _Gone (line 6)", "b.py: _dead (line 3)"]
+
+
+def _name(node):
+    """The name an ast.Name loads or an ast.Attribute reads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_builtin_exception(name):
+    value = vars(builtins).get(name)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def _exception_classes(modules):
+    """(module, class statement) for each module-level class of the
+    {module: tree} map whose base is a builtin exception or, by its name
+    or attribute, another such class."""
+    classes = [(module, node) for module, tree in modules.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)]
+    found = []
+    while True:
+        names = {node.name for _, node in found}
+        new = [(module, node) for module, node in classes
+               if (module, node) not in found
+               and any(_is_builtin_exception(base) or base in names
+                       for base in map(_name, node.bases))]
+        if not new:
+            return found
+        found += new
+
+
+def _unused_exception_classes(modules):
+    """"module: name (line n)" for each exception class that no module
+    names, as a name or an attribute, outside its own class statement."""
+    named = set()
+    for tree in modules.values():
+        for statement in tree.body:
+            own = statement.name if isinstance(statement, ast.ClassDef) else None
+            named |= set(map(_name, ast.walk(statement))) - {own}
+    return [f"{module}: {node.name} (line {node.lineno})"
+            for module, node in _exception_classes(modules)
+            if node.name not in named]
+
+
+def test_every_exception_class_is_used():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+               for p in PACKAGE}
+    assert len(_exception_classes(modules)) >= 10
+    assert _unused_exception_classes(modules) == []
+
+
+def test_an_unused_exception_class_is_reported():
+    modules = {
+        "a.py": ast.parse("class Used(ValueError): pass\n"
+                          "class Dead(Used):\n    def again(self): raise Dead\n"
+                          "class Plain: pass\n"),
+        "b.py": ast.parse("import a\nclass Gone(a.Used): pass\n"
+                          "def f():\n    raise a.Plain\n"),
+    }
+    assert [node.name for _, node in _exception_classes(modules)] == [
+        "Used", "Dead", "Gone"]
+    assert _unused_exception_classes(modules) == [
+        "a.py: Dead (line 2)", "b.py: Gone (line 2)"]
 
 
 def _stray_integer_reads(tree, module):
