@@ -13,7 +13,15 @@ from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
 
-from .fwps import _OTHERS, _pivot, _step, _triple, _well_formed_weights
+from .fwps import (
+    _OTHERS,
+    _coprime,
+    _not_well_formed,
+    _pivot,
+    _positive_triple,
+    _step,
+    _triple,
+)
 from .lattice import format_ints, int_to_decimal
 
 # Trial divisors of square_free_decompose. A cofactor free of them and below
@@ -132,13 +140,16 @@ def derive_equation(weights):
     takes the one part that leaves a square quotient. Well-formed weights
     are pairwise coprime, so d = 1, r = c0 c1 c2 is square-free (S = T = 1,
     g = r), and with the minimal weights' height h and square roots a0, a1,
-    a2, m / k = h / (a0 a1 a2) in lowest terms. Weights that are not
+    a2, m / k = h / (a0 a1 a2) in lowest terms. The input is read once
+    and the root comes from _minimal_root, which checks coprimality on the
+    root only and jumps along long runs of a fixed smallest weight, so the
+    input's size costs only the levels it descends. Weights that are not
     well-formed raise ValueError, as in every weight function: they are the
     weights of no fake weighted projective plane, and their S or T is
     mostly not 1, which no DiophantineEquation can state.
     """
-    lams = _well_formed_weights(weights)
-    root = descend_to_minimal(lams)[-1]
+    lams = _positive_triple(weights)
+    root = _minimal_root(lams)
     decs = [square_free_decompose(l) for l in root]
     parts = tuple(dec.c for dec in decs)
     h, a = sum(root), decs[0].a * decs[1].a * decs[2].a
@@ -227,17 +238,96 @@ def descend_to_minimal(weights):
 
     Mutating at pivot p lowers the height iff lambda_p' < lambda_p, that is
     iff li + lj < lp, which in a sorted triple can only hold at p = 2 (the
-    descent lemma). Mutation keeps weights well-formed, so only the input
-    is checked.
+    descent lemma). Positivity is checked on the input, since a step
+    divides by lambda_p, and coprimality on the minimal root only: a triple
+    and its mutation are pairwise coprime together or not at all, since a
+    prime dividing lambda_p and lambda_i divides (lambda_i + lambda_j)^2 =
+    lambda_p lambda_p', so lambda_j too. The path holds every level, so
+    each is one fwps._step, which costs less than a Vieta step (see
+    _vieta_step); _minimal_root gives the root alone.
     """
-    w = tuple(sorted(_well_formed_weights(weights)))
+    lams = _positive_triple(weights)
+    w = tuple(sorted(lams))
     path = [w]
     while w[0] + w[1] < w[2]:
         w = _step(w, 2)
         if w is None:
             break
         path.append(w)
+    _checked_root(lams, path[-1])
     return path
+
+
+# Levels a run that keeps the smallest weight fixed is stepped before
+# _minimal_root jumps along it. A depth-16 descent never reaches it, so a
+# short descent pays no more than its steps.
+_RUN_LEVELS = 32
+
+
+def _checked_root(lams, root):
+    """The minimal root, if pairwise coprime; else the refusal of the
+    input lams, which is well-formed exactly when its root is."""
+    if not _coprime(*root):
+        raise _not_well_formed(lams)
+    return root
+
+
+def _minimal_root(lams):
+    """descend_to_minimal(lams)[-1], for lams read by _positive_triple,
+    jumping along each run that keeps the smallest weight fixed for
+    _RUN_LEVELS levels (_run_jump)."""
+    w = tuple(sorted(lams))
+    run = 0
+    while w[0] + w[1] < w[2]:
+        if run == _RUN_LEVELS:
+            w = _run_jump(w)
+        target = _step(w, 2)
+        if target is None:
+            break
+        run = run + 1 if target[0] == w[0] else 0
+        w = target
+    return _checked_root(lams, w)
+
+
+def _run_jump(w):
+    """The last triple of the descent from the sorted positive triple w =
+    (A, b, c), A + b < c, that still has A smallest and still descends;
+    w itself unless K A is an integer, K the degree.
+
+    Along such a run the pivot is c and by Vieta its image is c' = s b -
+    c - 2A with s = K A - 2, and K A = h^2 / (b c) is read with one
+    divmod. So n levels are the n-th power of the affine map M: (b, c) ->
+    (s b - c - 2A, b), which stays integral iff s is. Every triple of the
+    chain (..., c, b, c', ...) is positive, as the product of neighbours
+    c c' = (A + b)^2 shows, and so log-convex: once a level ends the run,
+    no later one descends with A smallest. So the last level is found by
+    galloping over the powers M, M^2, M^4, ... and then bisecting with
+    them. Each jumped level is a Vieta root, so a fwps._step.
+    """
+    a, b, c = w
+    h = a + b + c
+    ka, r = divmod(h * h, b * c)
+    if r:
+        return w
+
+    def apply(m, b, c):
+        return m[0] * b + m[1] * c + m[2], m[3] * b + m[4] * c + m[5]
+
+    def square(m):
+        p, q, t, u, v, x = m
+        return (p * p + q * u, p * q + q * v, p * t + q * x + t,
+                u * p + v * u, u * q + v * v, u * t + v * x + x)
+
+    def in_run(b, c):
+        return a <= b and a + b < c
+
+    powers = [(ka - 2, -1, -2 * a, 1, 0, 0)]
+    while in_run(*apply(powers[-1], b, c)):
+        powers.append(square(powers[-1]))
+    for m in reversed(powers[:-1]):
+        if in_run(*(jumped := apply(m, b, c))):
+            b, c = jumped
+    return (a, b, c)
 
 
 class TreeNode(namedtuple("TreeNode", "weights depth parent pivot truncated",
@@ -277,7 +367,11 @@ def _vieta_step(w, pivot, num, den):
     (li + lj)^2, since their product is (li + lj)^2.
 
     One product and no big division; but reading K off a single triple
-    costs a big gcd, so the one-step callers keep fwps._step.
+    costs a big gcd, so the one-step callers keep fwps._step. So does
+    descend_to_minimal, which would read K once off its input: on depth-16
+    climbs to a few thousand bits the product num li lj costs more than
+    the division it saves. Only a long run repays reading K, and there
+    _run_jump takes many levels at once.
     """
     i, j = _OTHERS[pivot]
     li, lj = w[i], w[j]
@@ -303,7 +397,9 @@ def _bound(name, value):
 def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTree:
     """Descend to the minimal root, then expand all height-increasing weight
     mutations breadth-first until a bound is hit. A node is truncated when
-    it sits at max_depth or drops a child above max_height.
+    it sits at max_depth or drops a child above max_height. The root comes
+    from _minimal_root, as in derive_equation, and weights that are not
+    well-formed raise ValueError, checked on that root.
 
     The degree K = h^2 / (l0 l1 l2) is the same on the whole component, so
     it is read once off the root and each child is a Vieta step
@@ -319,7 +415,7 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     max_height = _bound("max_height", max_height)
     if max_depth is None and max_height is None:
         raise ValueError("need max_depth and/or max_height")
-    root_w = descend_to_minimal(weights)[-1]
+    root_w = _minimal_root(_positive_triple(weights))
     root_h = sum(root_w)
     if max_height is not None and max_height < root_h:
         raise ValueError(f"max_height {format_ints(max_height)} is below the"

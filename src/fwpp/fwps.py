@@ -64,20 +64,42 @@ def _triple(values, what="three weights") -> tuple[int, int, int]:
     return t
 
 
+def _coprime(l0: int, l1: int, l2: int) -> bool:
+    """True iff the three integers are pairwise coprime."""
+    return gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1
+
+
 def is_well_formed(weights) -> bool:
     """True iff the weights are positive and pairwise coprime."""
     l0, l1, l2 = _triple(weights)
-    return (min(l0, l1, l2) >= 1
-            and gcd(l0, l1) == gcd(l0, l2) == gcd(l1, l2) == 1)
+    return min(l0, l1, l2) >= 1 and _coprime(l0, l1, l2)
+
+
+def _not_well_formed(w) -> ValueError:
+    """The one refusal of a weight triple, quoting it as read."""
+    return ValueError(f"weights {format_ints(w)} are not well-formed")
+
+
+def _positive_triple(weights) -> tuple[int, int, int]:
+    """The one reader of a weight triple: three positive integers, read
+    once, in the order given; anything else is refused by _not_well_formed.
+    Coprimality is checked after it: on the input by _well_formed_weights,
+    and on the minimal root by the descents, whose input is well-formed
+    exactly when its root is (see diophantine.descend_to_minimal). A
+    descent divides by its largest weight, so positivity comes first."""
+    w = _triple(weights)
+    if min(w) < 1:
+        raise _not_well_formed(w)
+    return w
 
 
 def _well_formed_weights(weights) -> tuple[int, int, int]:
-    """The one reader of a weight triple: three positive, pairwise coprime
-    integers, in the order given. The weights of every fake weighted
+    """_positive_triple, with the weights pairwise coprime, for the weight
+    functions that take no descent. The weights of every fake weighted
     projective plane are such a triple (see vertex_weights)."""
-    w = _triple(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"weights {format_ints(w)} are not well-formed")
+    w = _positive_triple(weights)
+    if not _coprime(*w):
+        raise _not_well_formed(w)
     return w
 
 

@@ -1,8 +1,9 @@
 """Every name a source module imports is used in that module, every
 module-level private name and every exception class is used somewhere in
 the package, only
-lattice.decimal_to_int reads integers written as text, and each checked
-type is built past its checks at one site only.
+lattice.decimal_to_int reads integers written as text, each checked
+type is built past its checks at one site only, and one function spells
+the refusal of a weight triple.
 
 There is no linter among the test dependencies, so this reads the modules
 with ast. A name that a module-level __all__ lists counts as used, so the
@@ -315,3 +316,48 @@ def test_a_stray_unchecked_construction_is_reported():
         ("mutation.py", "_mutate_core", "FanoPolygon"),
         ("mutation.py", "shortcut", "FanoPolygon"),
         ("mutation.py", None, "lattice.FanoPolygon")]
+
+
+# The one function that spells the refusal of a weight triple.
+REFUSAL = "are not well-formed"
+REFUSAL_SITES = [("fwps.py", "_not_well_formed")]
+
+
+def _refusal_sites(tree, module):
+    """(module, function) for each string literal, docstrings aside, that
+    holds REFUSAL, an f-string's literal parts included."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and REFUSAL in node.value and id(node) not in docstrings):
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_refusal_of_weights_is_spelled_at_one_site():
+    """Every weight function refuses a triple through fwps._not_well_formed,
+    so the message cannot drift between them."""
+    assert [site for p in PACKAGE for site in _refusal_sites(
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), p.name)
+    ] == REFUSAL_SITES
+
+
+def test_a_second_refusal_site_is_reported():
+    source = ('def _not_well_formed(w):\n'
+              '    """Weights that are not well-formed."""\n'
+              '    return ValueError(f"weights {w} are not well-formed")\n'
+              'def descend(w):\n'
+              '    raise ValueError("weights " + str(w) + " are not well-formed")\n'
+              'MESSAGE = "{} are not well-formed"\n')
+    assert _refusal_sites(ast.parse(source), "fwps.py") == [
+        ("fwps.py", "_not_well_formed"), ("fwps.py", "descend"),
+        ("fwps.py", None)]

@@ -26,11 +26,36 @@ from fwpp.mutation import enumerate_one_step
 NOT_WELL_FORMED = [(2, 4, 6), (6, 2, 4), (2, 2, 2), (1, 2, 2), (2, 1, 2)]
 
 
+def _climb16():
+    w = (1, 1, 1)
+    for pivot in (0, 1) * 8:
+        w = mutate_weights(w, pivot)
+    return w
+
+
+_CLIMB = _climb16()  # 315, 762 and 1078 digits
+
+# Positive weights that the descents refuse only at their minimal root,
+# which is not pairwise coprime: scaled Markov triples, a scaled climb and
+# 3 (7, 81, 3872), whose descent stops at (3, 6, 21), where 21 does not
+# divide (3 + 6)^2.
+DESCEND_FIRST = [
+    pytest.param((2, 8, 50), id="2x(1,4,25)"),
+    pytest.param((50, 2, 8), id="2x(1,4,25)-shuffled"),
+    pytest.param((75, 2523, 562467), id="3x(25,841,187489)"),
+    pytest.param(tuple(2 * _CLIMB[i] for i in (2, 0, 1)), id="2x-climb16"),
+    pytest.param((243, 11616, 21), id="stops-undivided"),
+]
+# A descent divides by the largest weight, so these are refused first.
+NON_POSITIVE = [(0, 1, 1), (-1, 1, 1), (1, 0, 5)]
+
+
 def _weight_id(w):
     return "-".join(map(str, w))
 
 
-@pytest.mark.parametrize("w", NOT_WELL_FORMED, ids=_weight_id)
+@pytest.mark.parametrize("w", NOT_WELL_FORMED + DESCEND_FIRST + NON_POSITIVE,
+                         ids=_weight_id)
 @pytest.mark.parametrize("call", [
     lambda w: wps_triangle(*w),
     lambda w: mutate_weights(w, 0),
@@ -47,16 +72,32 @@ def test_library_refuses(call, w):
     assert str(info.value) == f"weights {format_ints(w)} are not well-formed"
 
 
-@pytest.mark.parametrize("w", NOT_WELL_FORMED, ids=_weight_id)
-@pytest.mark.parametrize("command", [
+WEIGHT_COMMANDS = pytest.mark.parametrize("command", [
     ["diophantine"], ["minimal"], ["tree"], ["weights-mutate", "--pivot", "0"],
 ], ids=lambda c: c[0])
+
+
+@pytest.mark.parametrize("w", NOT_WELL_FORMED + DESCEND_FIRST, ids=_weight_id)
+@WEIGHT_COMMANDS
 def test_cli_refuses(capsys, command, w):
     code = cli.main(command[:1] + [str(x) for x in w] + command[1:])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
     assert err == f"error: weights {format_ints(w)} are not well-formed\n"
+
+
+@pytest.mark.parametrize("w", NON_POSITIVE, ids=_weight_id)
+@WEIGHT_COMMANDS
+def test_cli_refuses_non_positive_weights_as_arguments(capsys, command, w):
+    bad = next(x for x in w if x < 1)
+    with pytest.raises(SystemExit) as info:
+        cli.main(command[:1] + [str(x) for x in w] + command[1:])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert err.endswith(f"error: argument L: expected a positive integer,"
+                        f" got '{bad}'\n")
 
 
 def assert_weights_well_formed(P):
