@@ -140,16 +140,15 @@ def derive_equation(weights):
     takes the one part that leaves a square quotient. Well-formed weights
     are pairwise coprime, so d = 1, r = c0 c1 c2 is square-free (S = T = 1,
     g = r), and with the minimal weights' height h and square roots a0, a1,
-    a2, m / k = h / (a0 a1 a2) in lowest terms. The input is read once
-    and the root comes from _minimal_root, which checks coprimality on the
-    root only and jumps along long runs of a fixed smallest weight, so the
-    input's size costs only the levels it descends. Weights that are not
+    a2, m / k = h / (a0 a1 a2) in lowest terms. The root comes from
+    descend_to_minimal, which checks coprimality on the root only, so the
+    input costs its descent's steps and no gcd. Weights that are not
     well-formed raise ValueError, as in every weight function: they are the
     weights of no fake weighted projective plane, and their S or T is
     mostly not 1, which no DiophantineEquation can state.
     """
     lams = _positive_triple(weights)
-    root = _minimal_root(lams)
+    root = descend_to_minimal(lams)[-1]
     decs = [square_free_decompose(l) for l in root]
     parts = tuple(dec.c for dec in decs)
     h, a = sum(root), decs[0].a * decs[1].a * decs[2].a
@@ -244,7 +243,9 @@ def descend_to_minimal(weights):
     prime dividing lambda_p and lambda_i divides (lambda_i + lambda_j)^2 =
     lambda_p lambda_p', so lambda_j too. The path holds every level, so
     each is one fwps._step, which costs less than a Vieta step (see
-    _vieta_step); _minimal_root gives the root alone.
+    _vieta_step). A triple that is not well-formed is refused only once
+    its descent is done, so refusing a scaled copy of a long climb costs
+    that climb's steps.
     """
     lams = _positive_triple(weights)
     w = tuple(sorted(lams))
@@ -254,80 +255,9 @@ def descend_to_minimal(weights):
         if w is None:
             break
         path.append(w)
-    _checked_root(lams, path[-1])
-    return path
-
-
-# Levels a run that keeps the smallest weight fixed is stepped before
-# _minimal_root jumps along it. A depth-16 descent never reaches it, so a
-# short descent pays no more than its steps.
-_RUN_LEVELS = 32
-
-
-def _checked_root(lams, root):
-    """The minimal root, if pairwise coprime; else the refusal of the
-    input lams, which is well-formed exactly when its root is."""
-    if not _coprime(*root):
+    if not _coprime(*path[-1]):
         raise _not_well_formed(lams)
-    return root
-
-
-def _minimal_root(lams):
-    """descend_to_minimal(lams)[-1], for lams read by _positive_triple,
-    jumping along each run that keeps the smallest weight fixed for
-    _RUN_LEVELS levels (_run_jump)."""
-    w = tuple(sorted(lams))
-    run = 0
-    while w[0] + w[1] < w[2]:
-        if run == _RUN_LEVELS:
-            w = _run_jump(w)
-        target = _step(w, 2)
-        if target is None:
-            break
-        run = run + 1 if target[0] == w[0] else 0
-        w = target
-    return _checked_root(lams, w)
-
-
-def _run_jump(w):
-    """The last triple of the descent from the sorted positive triple w =
-    (A, b, c), A + b < c, that still has A smallest and still descends;
-    w itself unless K A is an integer, K the degree.
-
-    Along such a run the pivot is c and by Vieta its image is c' = s b -
-    c - 2A with s = K A - 2, and K A = h^2 / (b c) is read with one
-    divmod. So n levels are the n-th power of the affine map M: (b, c) ->
-    (s b - c - 2A, b), which stays integral iff s is. Every triple of the
-    chain (..., c, b, c', ...) is positive, as the product of neighbours
-    c c' = (A + b)^2 shows, and so log-convex: once a level ends the run,
-    no later one descends with A smallest. So the last level is found by
-    galloping over the powers M, M^2, M^4, ... and then bisecting with
-    them. Each jumped level is a Vieta root, so a fwps._step.
-    """
-    a, b, c = w
-    h = a + b + c
-    ka, r = divmod(h * h, b * c)
-    if r:
-        return w
-
-    def apply(m, b, c):
-        return m[0] * b + m[1] * c + m[2], m[3] * b + m[4] * c + m[5]
-
-    def square(m):
-        p, q, t, u, v, x = m
-        return (p * p + q * u, p * q + q * v, p * t + q * x + t,
-                u * p + v * u, u * q + v * v, u * t + v * x + x)
-
-    def in_run(b, c):
-        return a <= b and a + b < c
-
-    powers = [(ka - 2, -1, -2 * a, 1, 0, 0)]
-    while in_run(*apply(powers[-1], b, c)):
-        powers.append(square(powers[-1]))
-    for m in reversed(powers[:-1]):
-        if in_run(*(jumped := apply(m, b, c))):
-            b, c = jumped
-    return (a, b, c)
+    return path
 
 
 class TreeNode(namedtuple("TreeNode", "weights depth parent pivot truncated",
@@ -370,8 +300,7 @@ def _vieta_step(w, pivot, num, den):
     costs a big gcd, so the one-step callers keep fwps._step. So does
     descend_to_minimal, which would read K once off its input: on depth-16
     climbs to a few thousand bits the product num li lj costs more than
-    the division it saves. Only a long run repays reading K, and there
-    _run_jump takes many levels at once.
+    the division it saves.
     """
     i, j = _OTHERS[pivot]
     li, lj = w[i], w[j]
@@ -398,8 +327,8 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     """Descend to the minimal root, then expand all height-increasing weight
     mutations breadth-first until a bound is hit. A node is truncated when
     it sits at max_depth or drops a child above max_height. The root comes
-    from _minimal_root, as in derive_equation, and weights that are not
-    well-formed raise ValueError, checked on that root.
+    from descend_to_minimal, as in derive_equation, and weights that are
+    not well-formed raise ValueError, checked on that root.
 
     The degree K = h^2 / (l0 l1 l2) is the same on the whole component, so
     it is read once off the root and each child is a Vieta step
@@ -415,7 +344,7 @@ def build_mutation_tree(weights, max_depth=None, max_height=None) -> MutationTre
     max_height = _bound("max_height", max_height)
     if max_depth is None and max_height is None:
         raise ValueError("need max_depth and/or max_height")
-    root_w = _minimal_root(_positive_triple(weights))
+    root_w = descend_to_minimal(weights)[-1]
     root_h = sum(root_w)
     if max_height is not None and max_height < root_h:
         raise ValueError(f"max_height {format_ints(max_height)} is below the"

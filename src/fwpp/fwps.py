@@ -176,8 +176,9 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 def _step(w, pivot):
-    """mutate_weights without the checks, on a sorted, well-formed triple
-    of ints: the sorted target, or None when w[pivot] does not divide."""
+    """mutate_weights without the checks, on a sorted triple of positive
+    ints, pairwise coprime or not: the sorted target, or None when
+    w[pivot] does not divide."""
     i, j = _OTHERS[pivot]
     li, lj = w[i], w[j]
     q, r = divmod((li + lj) ** 2, w[pivot])

@@ -2,9 +2,7 @@
 it: is_well_formed on the input, then one fwps._step per level.
 
 fwpp now checks positivity on the input and coprimality on the minimal root
-only, and its root-only descent jumps along long runs that keep the
-smallest weight fixed. This loop stays as the reference they are checked
-against.
+only. This loop stays as the reference its descents are checked against.
 """
 
 from fwpp.fwps import _step, is_well_formed

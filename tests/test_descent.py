@@ -1,31 +1,24 @@
 """The descents against step_descent (tests/descent_oracle.py).
 
-descend_to_minimal, the root-only descent diophantine._minimal_root, the
-root whose entries derive_equation factors and the root of
-build_mutation_tree must each refuse exactly the weights step_descent
-refuses, with its message, and otherwise give its path or its last triple.
-The library checks coprimality on the minimal root only, and the root-only
-descent jumps along runs that keep the smallest weight fixed for
-_RUN_LEVELS levels, so the cases below include long runs, their scaled
-copies (which are not well-formed) and a run whose degree K gives no
-integral K A, where no jump may be taken.
+descend_to_minimal, the root whose entries derive_equation factors and the
+root of build_mutation_tree must each refuse exactly the weights
+step_descent refuses, with its message, and otherwise give its path or its
+last triple. The library checks coprimality on the minimal root only, so
+the cases below include long runs that keep the smallest weight fixed,
+their scaled copies (which are not well-formed) and a scaled run whose
+degree K gives no integral K A.
 """
 
 import itertools
+import time
 from math import gcd
 
 import pytest
 
 from descent_oracle import step_descent
 from fwpp import diophantine
-from fwpp.diophantine import (
-    _RUN_LEVELS,
-    _minimal_root,
-    build_mutation_tree,
-    derive_equation,
-    descend_to_minimal,
-)
-from fwpp.fwps import _positive_triple, _step
+from fwpp.diophantine import build_mutation_tree, derive_equation, descend_to_minimal
+from fwpp.fwps import _step
 
 
 def _outcome(call, w):
@@ -53,7 +46,6 @@ def agrees(monkeypatch):
         expected = _outcome(step_descent, w)
         root = expected if isinstance(expected, str) else expected[-1]
         assert _outcome(descend_to_minimal, w) == expected, w
-        assert _outcome(lambda w: _minimal_root(_positive_triple(w)), w) == root, w
         assert _outcome(lambda w: build_mutation_tree(w, max_depth=0).root.weights,
                         w) == root, w
         factored.clear()
@@ -64,30 +56,6 @@ def agrees(monkeypatch):
             assert tuple(factored) == root, w
 
     return check
-
-
-@pytest.fixture
-def jumps(monkeypatch):
-    """(from, to) for each call of diophantine._run_jump."""
-    calls = []
-
-    def spy(w, _real=diophantine._run_jump):
-        calls.append((w, out := _real(w)))
-        return out
-
-    monkeypatch.setattr(diophantine, "_run_jump", spy)
-    return calls
-
-
-def assert_jumped_to_run_ends(jumps):
-    """Each jump that moved lands on the last level of its run: that level
-    descends with the same smallest weight, and its step leaves the run."""
-    moved = [(w, to) for w, to in jumps if to != w]
-    for w, to in moved:
-        assert to[0] == w[0] and to[0] + to[1] < to[2], (w, to)
-        t = _step(to, 2)
-        assert t[0] != to[0] or t[0] + t[1] >= t[2], (w, to)
-    return moved
 
 
 def test_every_triple_of_the_small_box(agrees):
@@ -121,28 +89,22 @@ def climb(w, levels):
 @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 4, 5)],
                          ids=lambda r: ",".join(map(str, r)))
 @pytest.mark.parametrize("scale", [1, 2, 3])
-def test_long_runs_from_the_hacking_prokhorov_roots(agrees, jumps, root, scale):
+def test_long_runs_from_the_hacking_prokhorov_roots(agrees, root, scale):
     path = climb(root, 500)
     assert len(path) == 501
-    for level in [*range(0, 501, 10), *range(_RUN_LEVELS - 1, _RUN_LEVELS + 3)]:
-        jumps.clear()
+    for level in range(0, 501, 10):
         agrees(tuple(scale * x for x in path[level]))
-        if level <= _RUN_LEVELS:
-            assert jumps == []
-        elif level >= _RUN_LEVELS + 5:
-            assert len(assert_jumped_to_run_ends(jumps)) == len(jumps) > 0
 
 
-def test_two_runs_are_both_jumped(agrees, jumps):
+def test_a_climb_of_two_runs(agrees):
     # 40 levels keeping 1 smallest, the pivot at 1, then 40 keeping b.
     low = climb((1, 2, 3), 40)[-1]
     top = climb(_step(low, 0), 40)[-1]
     agrees(top)
-    # once each in _minimal_root, build_mutation_tree and derive_equation
-    assert [w[0] for w, _ in assert_jumped_to_run_ends(jumps)] == [low[1], 1] * 3
+    agrees(tuple(2 * x for x in top))
 
 
-def test_a_run_with_no_integral_degree_times_its_weight_is_stepped(agrees, jumps):
+def test_a_run_with_no_integral_degree_times_its_weight(agrees):
     # 2^40 (16, 17, 18) is not well-formed, its K A = 51^2 / (17 * 18) =
     # 17/2 is no integer, and still its middle weight can be mutated 49
     # times over.
@@ -151,4 +113,18 @@ def test_a_run_with_no_integral_degree_times_its_weight_is_stepped(agrees, jumps
     a, b, c = top = path[-1]
     assert (a + b + c) ** 2 % (b * c) != 0
     agrees(top)
-    assert jumps and all(to == w for w, to in jumps)
+
+
+def test_refusing_a_scaled_long_climb_costs_its_steps_only():
+    # The refusal comes at the minimal root, after the descent: 2 times the
+    # triple 3,000 pivot-1 steps above (1, 1, 1), 8,330 bits, descends
+    # 3,000 levels first. Each weight function refuses it in well under a
+    # second; a descent that cost more than its steps would not.
+    w = tuple(2 * x for x in climb((1, 1, 1), 3000)[-1])
+    assert w[2].bit_length() == 8331
+    for call in (descend_to_minimal, derive_equation,
+                 lambda w: build_mutation_tree(w, max_depth=0)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="are not well-formed"):
+            call(w)
+        assert time.perf_counter() - start < 2.0

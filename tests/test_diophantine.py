@@ -219,24 +219,6 @@ class TestDeriveFromMinimalRoot:
         assert verify_solution(eq, sol)
         assert tuple(x * x for x in sol) == w
 
-    def test_a_long_fixed_weight_run_is_fast(self):
-        # Pivot 1 keeps the weight 1 fixed: n steps from (1, 1, 1) reach
-        # (1, F(2n-1)^2, F(2n+1)^2), with 27,769 bits at n = 10,000.
-        f = [0, 1]
-        while len(f) < 20002:
-            f.append(f[-1] + f[-2])
-        w = (1, 1, 1)
-        for n in range(1, 4):
-            w = mutate_weights(w, 1)
-            assert w == (1, f[2 * n - 1] ** 2, f[2 * n + 1] ** 2)
-        w = (1, f[19999] ** 2, f[20001] ** 2)
-        assert w[2].bit_length() == 27769
-        start = time.perf_counter()
-        eq, sol, _ = derive_equation(w)
-        assert time.perf_counter() - start < 2.0
-        assert (eq.m, eq.k, eq.c, eq.r) == (3, 1, (1, 1, 1), 1)
-        assert sol == (1, f[19999], f[20001])
-
     def test_only_the_minimal_weights_are_factored(self, monkeypatch):
         # n is prime and minimal in its component, while n + 2 is a product
         # of two 62-bit primes, so factoring the degree's numerator
