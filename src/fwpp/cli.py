@@ -227,6 +227,14 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = _integer(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwpp",
@@ -275,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     weights_cmd("minimal", cmd_minimal, "descend to the minimal weights")
 
     p = weights_cmd("tree", cmd_tree, "mutation tree from the minimal root")
-    p.add_argument("--depth", type=_positive_int, default=None)
+    # depth 0 is the root alone, truncated, as build_mutation_tree gives it
+    p.add_argument("--depth", type=_nonnegative_int, default=None)
     p.add_argument("--max-height", type=_positive_int, default=None)
 
     weights_cmd("diophantine", cmd_diophantine,

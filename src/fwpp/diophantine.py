@@ -83,7 +83,8 @@ def square_free_decompose(n: int) -> SquareFreeDecomposition:
     sympy, which is imported here because its import costs more than the
     rest of fwpp. That factoring has no time bound: a cofactor that is the
     product of two 62-bit primes takes seconds, and the time grows with
-    its size.
+    its size. Each call factors afresh; derive_equation pays it once per
+    component, since it memoises what it reads off a minimal root.
     """
     n = index(n)
     if n < 1:
@@ -124,6 +125,19 @@ def _square_class(lam: int, parts) -> tuple[int, int]:
     raise AssertionError(f"{lam} has none of the square-free parts {parts}")
 
 
+@lru_cache(maxsize=256)
+def _root_equation(root) -> tuple[tuple[int, int, int], int, int, int]:
+    """(parts, m, k, r) of the equation of the component whose minimal
+    weights are root: the square-free parts of the root's weights, and m,
+    k and r as derive_equation states them. Memoised for the last 256
+    roots, so a component is factored once while it is in use."""
+    decs = [square_free_decompose(l) for l in root]
+    parts = tuple(dec.c for dec in decs)
+    h, a = sum(root), decs[0].a * decs[1].a * decs[2].a
+    g = gcd(h, a)
+    return parts, h // g, a // g, parts[0] * parts[1] * parts[2]
+
+
 def derive_equation(weights):
     """Equation, solution, and derivation data for a well-formed weight
     triple.
@@ -132,8 +146,11 @@ def derive_equation(weights):
     in the solution, so callers can keep the labelling of their plane.
 
     Only the minimal weights of the component are factored, with no time
-    bound past trial division (see square_free_decompose). The equation
-    is an invariant of the component: the degree is, and a mutation
+    bound past trial division (see square_free_decompose), and only once
+    per process while the root is among the last 256 derived
+    (_root_equation): each further member of the component costs its
+    descent and three divisions with square roots. The equation is an
+    invariant of the component: the degree is, and a mutation
     lambda_p -> lambda_p' keeps the square-free part, since
     lambda_p * lambda_p' = (lambda_i + lambda_j)^2. So the square-free
     parts c0, c1, c2 come from the minimal weights, and each input weight
@@ -148,15 +165,9 @@ def derive_equation(weights):
     mostly not 1, which no DiophantineEquation can state.
     """
     lams = _positive_triple(weights)
-    root = descend_to_minimal(lams)[-1]
-    decs = [square_free_decompose(l) for l in root]
-    parts = tuple(dec.c for dec in decs)
-    h, a = sum(root), decs[0].a * decs[1].a * decs[2].a
-    g = gcd(h, a)
-    r = parts[0] * parts[1] * parts[2]
+    parts, m, k, r = _root_equation(descend_to_minimal(lams)[-1])
     c, solution = zip(*(_square_class(l, parts) for l in lams))
-    eq = DiophantineEquation(m=h // g, k=a // g, c=c, r=r)
-    return eq, solution, GeneralDerivation(d=1, S=1, T=1, g=r)
+    return DiophantineEquation(m, k, c, r), solution, GeneralDerivation(1, 1, 1, r)
 
 
 def _solution(s) -> tuple[int, int, int]:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from fwpp import lattice
+from fwpp import diophantine, lattice
 from fwpp.fwps import mutate_weights
 from fwpp.lattice import LatticeError, make_fano_triangle
 
@@ -21,6 +21,13 @@ def random_fano_triangles(count, bound=12, seed=20250823):
         except LatticeError:
             continue
     return out
+
+
+@pytest.fixture(autouse=True)
+def fresh_equation_memo():
+    """Every test starts with no root equations memoised, so that its spies
+    and timings do not depend on the roots an earlier test derived."""
+    diophantine._root_equation.cache_clear()
 
 
 @pytest.fixture(scope="session")

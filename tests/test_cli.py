@@ -517,7 +517,7 @@ def test_enumerate_names_the_factor_fields(capsys, p2_file):
 # those of the benchmark's cli workload: "@name" is the path of a file
 # holding PINNED_TRIANGLES[name], "@out" is an --output path whose contents
 # are pinned in place of stdout, and a second field names the triangle fed
-# on stdin.
+# on stdin. tree-depth0-123, the root-only tree, is pinned beside them.
 PINNED_DIR = pathlib.Path(__file__).parent / "pinned_stdout"
 
 PINNED_TRIANGLES = {
@@ -567,6 +567,7 @@ PINNED = {
     "tree-text-123": (["--format", "text", "tree", "1", "2", "3", "--depth", "4"], None),
     "tree-output-111": (["--output", "@out", "tree", "1", "1", "1", "--depth", "6"], None),
     "tree-height-111": (["tree", "1", "1", "1", "--max-height", "100000"], None),
+    "tree-depth0-123": (["tree", "1", "2", "3", "--depth", "0"], None),
     "diophantine-1257": (["diophantine", "12", "5", "7"], None),
     "diophantine-111": (["diophantine", "1", "1", "1"], None),
     "diophantine-425841": (["diophantine", "4", "25", "841"], None),

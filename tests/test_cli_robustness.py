@@ -156,6 +156,8 @@ REFUSED_ARGUMENTS = {
               "argument --pivot: expected an integer, got 'x'"),
     "depth": (["tree", "1", "1", "1", "--depth", "1.5"],
               "argument --depth: expected an integer, got '1.5'"),
+    "depth-negative": (["tree", "1", "1", "1", "--depth", "-1"],
+                       "argument --depth: expected a nonnegative integer, got '-1'"),
     "max-height": (["tree", "1", "1", "1", "--max-height", "-3"],
                    "argument --max-height: expected a positive integer, got '-3'"),
     "count": (["pell", "--family", "a1", "--count", "+3"],

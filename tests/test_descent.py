@@ -11,11 +11,10 @@ degree K gives no integral K A.
 
 import itertools
 import time
-from math import gcd
 
 import pytest
 
-from descent_oracle import step_descent
+from descent_oracle import step_descent, well_formed_up_to
 from fwpp import diophantine
 from fwpp.diophantine import build_mutation_tree, derive_equation, descend_to_minimal
 from fwpp.fwps import _step
@@ -33,7 +32,8 @@ def _outcome(call, w):
 def agrees(monkeypatch):
     """check(w) asserts that every descent agrees with step_descent on w.
     The root derive_equation uses is read off the numbers it hands to
-    square_free_decompose, which are the entries of that root."""
+    square_free_decompose, which are the entries of that root; the memo of
+    roots is cleared first, so that every root is factored again."""
     factored = []
 
     def spy(n, _real=diophantine.square_free_decompose):
@@ -49,6 +49,7 @@ def agrees(monkeypatch):
         assert _outcome(lambda w: build_mutation_tree(w, max_depth=0).root.weights,
                         w) == root, w
         factored.clear()
+        diophantine._root_equation.cache_clear()
         derived = _outcome(derive_equation, w)
         if isinstance(root, str):
             assert derived == root, w
@@ -64,16 +65,10 @@ def test_every_triple_of_the_small_box(agrees):
 
 
 def test_every_well_formed_triple_up_to_height_120(agrees):
-    count = 0
-    for a in range(1, 41):
-        for b in range(a, (120 - a) // 2 + 1):
-            if gcd(a, b) != 1:
-                continue
-            for c in range(b, 120 - a - b + 1):
-                if gcd(a, c) == gcd(b, c) == 1:
-                    agrees((a, b, c))
-                    count += 1
-    assert count > 14000
+    triples = well_formed_up_to(120)
+    assert len(triples) == 14212
+    for w in triples:
+        agrees(w)
 
 
 def climb(w, levels):

@@ -10,6 +10,8 @@ import sympy
 from hypothesis import example, given, strategies as st
 from sympy import factorint, nextprime
 
+from descent_oracle import well_formed_up_to
+from fwpp import diophantine
 from fwpp.diophantine import (
     _SMALL_PRIMES,
     _TRIAL_LIMIT,
@@ -236,6 +238,71 @@ class TestDeriveFromMinimalRoot:
         assert derive_equation((1, 1, n)) == (
             (n + 2, 1, (1, 1, n), n), (1, 1, 1), (1, 1, 1, n))
         assert factored == [n]
+
+    def test_a_component_is_factored_once(self, monkeypatch):
+        factored = []
+
+        def spy(n, _real=diophantine.square_free_decompose):
+            factored.append(n)
+            return _real(n)
+
+        monkeypatch.setattr(diophantine, "square_free_decompose", spy)
+        tree = build_mutation_tree((1, 2, 3), max_depth=8)
+        assert len(tree.nodes) == 511
+        for node in tree.nodes:
+            derive_equation(node.weights)
+        assert factored == [1, 2, 3]
+
+    def test_a_hard_root_reaches_sympy_once_per_cofactor(self, monkeypatch):
+        # Both N = 1000003 * 1000033 and the cofactor M = (N + 1) / 100 are
+        # past trial division, so each derivation that factored the root
+        # would call factorint twice.
+        n = 1000003 * 1000033
+        cofactor = (n + 1) // 100
+        tree = build_mutation_tree((1, n, n + 1), max_depth=3)
+        assert len(tree.nodes) == 4
+        factored = []
+
+        def spy(m, *args, **kwargs):
+            factored.append(m)
+            return factorint(m, *args, **kwargs)
+
+        monkeypatch.setattr(sympy, "factorint", spy)
+        for node in tree.nodes:
+            eq, sol, _ = derive_equation(node.weights)
+            assert (eq.m, eq.k, eq.r) == (20 * cofactor, 1, n * cofactor)
+            assert verify_solution(eq, sol)
+        assert factored == [n, cofactor]
+
+
+def test_the_weight_forest_up_to_height_120():
+    """The components of the well-formed triples of height at most 120:
+    their trees partition the triples, every member has the equation
+    derive_oracle reads off its root, and only the Hacking-Prokhorov roots
+    have an integral degree. The roots miss the memo of derive_equation
+    and the other members hit it."""
+    triples = well_formed_up_to(120)
+    roots = {descend_to_minimal(w)[-1] for w in triples}
+    assert (len(triples), len(roots)) == (14212, 13877)
+    seen = set()
+    shared = 0
+    integral = []
+    for root in sorted(roots):
+        members = [n.weights for n in build_mutation_tree(root, max_height=120).nodes]
+        assert seen.isdisjoint(members) and len(set(members)) == len(members), root
+        seen.update(members)
+        shared += len(members) > 1
+        (m, k, c, r), _, _ = derive_oracle(root)
+        for w in members:
+            eq, sol, _ = derive_equation(w)
+            assert (eq.m, eq.k, eq.r) == (m, k, r), w
+            assert sorted(eq.c) == sorted(c), w
+            assert verify_solution(eq, sol), w
+        if sum(root) ** 2 % (root[0] * root[1] * root[2]) == 0:
+            integral.append(root)
+    assert seen == set(triples)
+    assert shared == 309
+    assert integral == [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 4, 5)]
 
 
 class TestSolutions:

@@ -2,8 +2,9 @@
 module-level private name and every exception class is used somewhere in
 the package, only
 lattice.decimal_to_int reads integers written as text, each checked
-type is built past its checks at one site only, and one function spells
-the refusal of a weight triple.
+type is built past its checks at one site only, one function spells
+the refusal of a weight triple, and every module-level functools cache
+has a literal, finite bound.
 
 There is no linter among the test dependencies, so this reads the modules
 with ast. A name that a module-level __all__ lists counts as used, so the
@@ -361,3 +362,87 @@ def test_a_second_refusal_site_is_reported():
     assert _refusal_sites(ast.parse(source), "fwps.py") == [
         ("fwps.py", "_not_well_formed"), ("fwps.py", "descend"),
         ("fwps.py", None)]
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _unbounded_caches(tree, module):
+    """"module: line n" for each functools cache outside a function body
+    whose maxsize is not a literal integer: @cache, a bare @lru_cache (its
+    bound of 128 is written nowhere), lru_cache(maxsize=None) or a bound
+    held in a name. A cache made inside a function, such as a per-call
+    memo, lives as long as its caller and is not counted."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for alias in node.names if alias.name in CACHES}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+
+    def cache_name(node):
+        if isinstance(node, ast.Name) and node.id in aliases:
+            return node.id
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            return node.attr
+        return None
+
+    def literal_bound(call):
+        bound = call.args[0] if call.args else next(
+            (k.value for k in call.keywords if k.arg == "maxsize"), None)
+        return (isinstance(bound, ast.Constant) and type(bound.value) is int
+                and bound.value >= 0)
+
+    found = []
+
+    def check(expr):
+        callees = set()
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call) and cache_name(node.func):
+                callees.add(id(node.func))
+                if cache_name(node.func) == "cache" or not literal_bound(node):
+                    found.append(f"{module}: line {node.lineno}")
+        for node in ast.walk(expr):
+            if cache_name(node) and id(node) not in callees:
+                found.append(f"{module}: line {node.lineno}")
+
+    def visit(statements):
+        for node in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    check(decorator)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                check(node)
+
+    visit(tree.body)
+    return found
+
+
+def test_module_level_caches_have_a_literal_bound():
+    """A module-level memo lives as long as the process, so its size is
+    bounded by a constant written at its site."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert any("@lru_cache(maxsize=" in text for text in sources.values())
+    assert [line for name, text in sources.items()
+            for line in _unbounded_caches(ast.parse(text), name)] == []
+
+
+def test_an_unbounded_cache_is_reported():
+    source = "from functools import lru_cache\nroots = lru_cache(maxsize=None)(abs)\n"
+    assert _unbounded_caches(ast.parse(source), "a.py") == ["a.py: line 2"]
+    source = ("import functools\n"
+              "from functools import cache, lru_cache as memo\n"
+              "BOUND = 64\n"
+              "@memo(maxsize=256)\ndef a(x): return x\n"
+              "@memo(128)\ndef b(x): return x\n"
+              "@memo\ndef c(x): return x\n"
+              "@cache\ndef d(x): return x\n"
+              "@functools.lru_cache(maxsize=BOUND)\ndef e(x): return x\n"
+              "class K:\n"
+              "    @functools.lru_cache(maxsize=None)\n    def f(self): pass\n"
+              "def g():\n    return memo(maxsize=None)(abs)\n")
+    assert _unbounded_caches(ast.parse(source), "a.py") == [
+        "a.py: line 8", "a.py: line 10", "a.py: line 12", "a.py: line 15"]
