@@ -83,8 +83,11 @@ def square_free_decompose(n: int) -> SquareFreeDecomposition:
     sympy, which is imported here because its import costs more than the
     rest of fwpp. That factoring has no time bound: a cofactor that is the
     product of two 62-bit primes takes seconds, and the time grows with
-    its size. Each call factors afresh; derive_equation pays it once per
-    component, since it memoises what it reads off a minimal root.
+    its size. Each call factors afresh. derive_equation calls it only on
+    the three minimal weights of a component, and only when the degree is
+    not among the last 256 it derived: the equation is a function of the
+    degree, so every well-formed triple of that degree is then solved
+    with gcds and square roots, whatever its component.
     """
     n = index(n)
     if n < 1:
@@ -116,26 +119,20 @@ def square_free_decompose(n: int) -> SquareFreeDecomposition:
     return SquareFreeDecomposition(c=c, a=a)
 
 
-def _square_class(lam: int, parts) -> tuple[int, int]:
-    """(c, s) with c among the square-free parts and lam = c * s^2."""
-    for c in parts:
-        q, r = divmod(lam, c)
-        if not r and (s := isqrt(q)) * s == q:
-            return c, s
-    raise AssertionError(f"{lam} has none of the square-free parts {parts}")
+# (numerator, denominator) of a degree in lowest terms -> (r, m, k) of its
+# equation, for the last 256 degrees derived, the most recent last.
+_EQUATIONS = {}
 
 
-@lru_cache(maxsize=256)
-def _root_equation(root) -> tuple[tuple[int, int, int], int, int, int]:
-    """(parts, m, k, r) of the equation of the component whose minimal
-    weights are root: the square-free parts of the root's weights, and m,
-    k and r as derive_equation states them. Memoised for the last 256
-    roots, so a component is factored once while it is in use."""
+def _root_equation(root) -> tuple[int, int, int]:
+    """(r, m, k) of the equation of the component whose minimal weights are
+    root, as derive_equation states them: r is the product of the
+    square-free parts of the root's weights, and m / k their height over
+    the product of their square roots, in lowest terms."""
     decs = [square_free_decompose(l) for l in root]
-    parts = tuple(dec.c for dec in decs)
     h, a = sum(root), decs[0].a * decs[1].a * decs[2].a
     g = gcd(h, a)
-    return parts, h // g, a // g, parts[0] * parts[1] * parts[2]
+    return decs[0].c * decs[1].c * decs[2].c, h // g, a // g
 
 
 def derive_equation(weights):
@@ -145,28 +142,45 @@ def derive_equation(weights):
     The order of the input weights is preserved in the coefficients c_i and
     in the solution, so callers can keep the labelling of their plane.
 
-    Only the minimal weights of the component are factored, with no time
-    bound past trial division (see square_free_decompose), and only once
-    per process while the root is among the last 256 derived
-    (_root_equation): each further member of the component costs its
-    descent and three divisions with square roots. The equation is an
-    invariant of the component: the degree is, and a mutation
-    lambda_p -> lambda_p' keeps the square-free part, since
-    lambda_p * lambda_p' = (lambda_i + lambda_j)^2. So the square-free
-    parts c0, c1, c2 come from the minimal weights, and each input weight
-    takes the one part that leaves a square quotient. Well-formed weights
-    are pairwise coprime, so d = 1, r = c0 c1 c2 is square-free (S = T = 1,
-    g = r), and with the minimal weights' height h and square roots a0, a1,
-    a2, m / k = h / (a0 a1 a2) in lowest terms. The root comes from
-    descend_to_minimal, which checks coprimality on the root only, so the
-    input costs its descent's steps and no gcd. Weights that are not
-    well-formed raise ValueError, as in every weight function: they are the
-    weights of no fake weighted projective plane, and their S or T is
-    mostly not 1, which no DiophantineEquation can state.
+    The equation depends on the degree K = h^2 / (l0 l1 l2) alone. Write
+    well-formed weights as l_i = c_i x_i^2 with c_i square-free. They are
+    pairwise coprime, so d = 1 and r = c0 c1 c2 is square-free (S = T = 1,
+    g = r); and K r = (h / (x0 x1 x2))^2. So r is the square-free kernel
+    of K and m / k = sqrt(K r) in lowest terms, both functions of K, and
+    c_i = gcd(l_i, r), since c_i divides l_i and r while l_i is coprime
+    to the other two parts; x_i = isqrt(l_i / c_i).
+
+    So (r, m, k) is memoised by the degree in lowest terms, for the last
+    256 degrees derived. On a hit the input is tested for coprimality and
+    solved directly, with no descent and no factoring. On a miss the input
+    descends to the minimal weights of its component (descend_to_minimal,
+    which checks coprimality on that root only) and the root is factored
+    (_root_equation), with no time bound past trial division (see
+    square_free_decompose). The degree itself is never factored: its
+    numerator can be much harder to factor than the root. Weights that are
+    not well-formed raise ValueError, as in every weight function: they
+    are the weights of no fake weighted projective plane, and their S or T
+    is mostly not 1, which no DiophantineEquation can state.
     """
     lams = _positive_triple(weights)
-    parts, m, k, r = _root_equation(descend_to_minimal(lams)[-1])
-    c, solution = zip(*(_square_class(l, parts) for l in lams))
+    l0, l1, l2 = lams
+    h = l0 + l1 + l2
+    num, den = h * h, l0 * l1 * l2
+    g = gcd(num, den)
+    key = num // g, den // g
+    equation = _EQUATIONS.get(key)
+    if equation is None:
+        equation = _root_equation(descend_to_minimal(lams)[-1])
+        if len(_EQUATIONS) >= 256:
+            del _EQUATIONS[next(iter(_EQUATIONS))]
+    elif _coprime(l0, l1, l2):
+        del _EQUATIONS[key]
+    else:
+        raise _not_well_formed(lams)
+    _EQUATIONS[key] = equation
+    r, m, k = equation
+    c = gcd(l0, r), gcd(l1, r), gcd(l2, r)
+    solution = isqrt(l0 // c[0]), isqrt(l1 // c[1]), isqrt(l2 // c[2])
     return DiophantineEquation(m, k, c, r), solution, GeneralDerivation(1, 1, 1, r)
 
 

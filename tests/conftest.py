@@ -25,9 +25,9 @@ def random_fano_triangles(count, bound=12, seed=20250823):
 
 @pytest.fixture(autouse=True)
 def fresh_equation_memo():
-    """Every test starts with no root equations memoised, so that its spies
-    and timings do not depend on the roots an earlier test derived."""
-    diophantine._root_equation.cache_clear()
+    """Every test starts with no equations memoised, so that its spies and
+    timings do not depend on the degrees an earlier test derived."""
+    diophantine._EQUATIONS.clear()
 
 
 @pytest.fixture(scope="session")

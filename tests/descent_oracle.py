@@ -1,6 +1,6 @@
 """The descent to the minimal weights the long way, the way fwpp once took
-it: is_well_formed on the input, then one fwps._step per level, and the
-well-formed triples up to a height, by brute force.
+it: is_well_formed on the input, then one fwps._step per level; the
+well-formed triples up to a height, by brute force; and long climbs.
 
 fwpp now checks positivity on the input and coprimality on the minimal root
 only. This loop stays as the reference its descents are checked against.
@@ -34,3 +34,13 @@ def well_formed_up_to(max_height):
             for b in range(a, (max_height - a) // 2 + 1) if gcd(a, b) == 1
             for c in range(b, max_height - a - b + 1)
             if gcd(a, c) == gcd(b, c) == 1]
+
+
+def climb(w, levels):
+    """w (sorted) and the triples above it, each _step of the last at its
+    middle weight, which keeps the smallest weight fixed; it stops early
+    where that step does not divide."""
+    path = [w]
+    while len(path) <= levels and (w := _step(w, 1)) is not None:
+        path.append(w)
+    return path

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from descent_oracle import step_descent, well_formed_up_to
+from descent_oracle import climb, step_descent, well_formed_up_to
 from fwpp import diophantine
 from fwpp.diophantine import build_mutation_tree, derive_equation, descend_to_minimal
 from fwpp.fwps import _step
@@ -33,7 +33,8 @@ def agrees(monkeypatch):
     """check(w) asserts that every descent agrees with step_descent on w.
     The root derive_equation uses is read off the numbers it hands to
     square_free_decompose, which are the entries of that root; the memo of
-    roots is cleared first, so that every root is factored again."""
+    degrees is cleared first, so that every derivation descends and
+    factors its root again."""
     factored = []
 
     def spy(n, _real=diophantine.square_free_decompose):
@@ -49,7 +50,7 @@ def agrees(monkeypatch):
         assert _outcome(lambda w: build_mutation_tree(w, max_depth=0).root.weights,
                         w) == root, w
         factored.clear()
-        diophantine._root_equation.cache_clear()
+        diophantine._EQUATIONS.clear()
         derived = _outcome(derive_equation, w)
         if isinstance(root, str):
             assert derived == root, w
@@ -69,16 +70,6 @@ def test_every_well_formed_triple_up_to_height_120(agrees):
     assert len(triples) == 14212
     for w in triples:
         agrees(w)
-
-
-def climb(w, levels):
-    """w (sorted) and the triples above it, each _step of the last at its
-    middle weight, which keeps the smallest weight fixed; it stops early
-    where that step does not divide."""
-    path = [w]
-    while len(path) <= levels and (w := _step(w, 1)) is not None:
-        path.append(w)
-    return path
 
 
 @pytest.mark.parametrize("root", [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 4, 5)],

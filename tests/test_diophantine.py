@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 from sympy import factorint, nextprime
 
-from descent_oracle import well_formed_up_to
+from descent_oracle import climb, well_formed_up_to
 from fwpp import diophantine
 from fwpp.diophantine import (
     _SMALL_PRIMES,
@@ -275,33 +275,139 @@ class TestDeriveFromMinimalRoot:
         assert factored == [n, cofactor]
 
 
+class TestDegreeMemo:
+    """derive_equation memoises (r, m, k) by the degree in lowest terms. A
+    hit solves its input with gcds and square roots and no descent, so it
+    must give what a miss gives, and refuse what a miss refuses."""
+
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        """The inputs handed to descend_to_minimal from here on."""
+        seen = []
+
+        def spy(w, _real=diophantine.descend_to_minimal):
+            seen.append(w)
+            return _real(w)
+
+        monkeypatch.setattr(diophantine, "descend_to_minimal", spy)
+        return seen
+
+    def test_every_permutation_up_to_height_60_cold_and_warm(self, descents):
+        triples = well_formed_up_to(60)
+        assert len(triples) == 1857
+        for w in triples:
+            perms = list(dict.fromkeys(itertools.permutations(w)))
+            expected = [derive_oracle(p) for p in perms]
+            cold = []
+            for p in perms:
+                diophantine._EQUATIONS.clear()
+                cold.append(derive_equation(p))
+            assert cold == expected, w
+            assert descents == perms, w
+            descents.clear()
+            assert [derive_equation(p) for p in perms] == expected, w
+            assert descents == [], w
+
+    @pytest.mark.parametrize("good, bad", [((1, 8, 9), (2, 2, 2)),
+                                           ((1, 4, 9), (1, 3, 3))])
+    def test_a_hit_refuses_what_a_miss_refuses(self, good, bad):
+        assert Fraction(sum(good) ** 2, good[0] * good[1] * good[2]) == \
+            Fraction(sum(bad) ** 2, bad[0] * bad[1] * bad[2])
+        derive_equation(good)
+        with pytest.raises(ValueError) as info:
+            derive_equation(bad)
+        assert str(info.value) == f"weights {format_ints(bad)} are not well-formed"
+
+    def test_every_degree_shared_with_triples_that_are_not_well_formed(
+            self, descents):
+        by_degree = {}
+        for w in itertools.combinations_with_replacement(range(1, 60), 3):
+            by_degree.setdefault(
+                Fraction(sum(w) ** 2, w[0] * w[1] * w[2]), []).append(w)
+        shared = [ws for ws in by_degree.values()
+                  if len({is_well_formed(w) for w in ws}) == 2]
+        assert len(shared) == 588
+        firsts = []
+        for ws in shared:
+            good = [w for w in ws if is_well_formed(w)]
+            firsts.append(good[0])
+            derive_equation(good[0])
+            for w in ws:
+                if not is_well_formed(w):
+                    assert_derives_as_oracle(w)
+            assert derive_equation(good[-1]) == derive_oracle(good[-1])
+        assert descents == firsts
+
+    def test_a_tree_descends_once(self, descents):
+        tree = build_mutation_tree((1, 2, 3), max_depth=8)
+        assert len(tree.nodes) == 511
+        descents.clear()
+        for node in tree.nodes:
+            derive_equation(node.weights)
+        assert descents == [(1, 2, 3)]
+
+    def test_a_warm_degree_derives_a_long_climb_without_descending(
+            self, descents):
+        derive_equation((1, 1, 1))
+        w = climb((1, 1, 1), 3000)[-1]
+        assert w[2].bit_length() == 8330
+        descents.clear()
+        derived = derive_equation(w)
+        assert descents == []
+        # derive_oracle cannot factor weights of 8,330 bits, but each weight
+        # is a square, so it would read c = (1, 1, 1) and the square roots,
+        # and the degree is 9, as on the whole (1, 1, 1) component.
+        roots = tuple(map(isqrt, w))
+        assert tuple(x * x for x in roots) == w
+        assert sum(w) ** 2 == 9 * w[0] * w[1] * w[2]
+        assert derived == ((3, 1, (1, 1, 1), 1), roots, (1, 1, 1, 1))
+        diophantine._EQUATIONS.clear()
+        assert derive_equation(w) == derived
+        assert descents == [w]
+
+
 def test_the_weight_forest_up_to_height_120():
     """The components of the well-formed triples of height at most 120:
     their trees partition the triples, every member has the equation
-    derive_oracle reads off its root, and only the Hacking-Prokhorov roots
-    have an integral degree. The roots miss the memo of derive_equation
-    and the other members hit it."""
+    derive_oracle reads off its root, every edge is mutate_solution at its
+    pivot, and only the Hacking-Prokhorov roots have an integral degree.
+    derive_equation keys its memo by the degree, so the members of a
+    component hit it once their root has missed it, and so do the roots
+    of other components whose degree is among the last 256 derived."""
     triples = well_formed_up_to(120)
     roots = {descend_to_minimal(w)[-1] for w in triples}
     assert (len(triples), len(roots)) == (14212, 13877)
     seen = set()
-    shared = 0
+    shared = edges = 0
     integral = []
     for root in sorted(roots):
-        members = [n.weights for n in build_mutation_tree(root, max_height=120).nodes]
+        nodes = build_mutation_tree(root, max_height=120).nodes
+        members = [n.weights for n in nodes]
         assert seen.isdisjoint(members) and len(set(members)) == len(members), root
         seen.update(members)
         shared += len(members) > 1
         (m, k, c, r), _, _ = derive_oracle(root)
-        for w in members:
+        derived = []
+        for node in nodes:
+            w = node.weights
             eq, sol, _ = derive_equation(w)
             assert (eq.m, eq.k, eq.r) == (m, k, r), w
             assert sorted(eq.c) == sorted(c), w
             assert verify_solution(eq, sol), w
+            if node.parent is not None:
+                parent_eq, parent_sol = derived[node.parent]
+                image = mutate_solution(parent_eq, parent_sol, node.pivot)
+                assert tuple(sorted(ci * x * x for ci, x in zip(parent_eq.c, image))
+                             ) == w, w
+                assert (eq.m, eq.k, eq.r) == (parent_eq.m, parent_eq.k, parent_eq.r), w
+                assert sorted(eq.c) == sorted(parent_eq.c), w
+                edges += 1
+            derived.append((eq, sol))
         if sum(root) ** 2 % (root[0] * root[1] * root[2]) == 0:
             integral.append(root)
     assert seen == set(triples)
     assert shared == 309
+    assert edges == len(triples) - len(roots)
     assert integral == [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 4, 5)]
 
 

@@ -3,8 +3,8 @@ module-level private name and every exception class is used somewhere in
 the package, only
 lattice.decimal_to_int reads integers written as text, each checked
 type is built past its checks at one site only, one function spells
-the refusal of a weight triple, and every module-level functools cache
-has a literal, finite bound.
+the refusal of a weight triple, and every module-level memo, a functools
+cache or a dict, has a literal, finite bound.
 
 There is no linter among the test dependencies, so this reads the modules
 with ast. A name that a module-level __all__ lists counts as used, so the
@@ -371,8 +371,11 @@ def _unbounded_caches(tree, module):
     """"module: line n" for each functools cache outside a function body
     whose maxsize is not a literal integer: @cache, a bare @lru_cache (its
     bound of 128 is written nowhere), lru_cache(maxsize=None) or a bound
-    held in a name. A cache made inside a function, such as a per-call
-    memo, lives as long as its caller and is not counted."""
+    held in a name; then for each module-level dict memo (_dict_memos)
+    whose length the module never compares with an integer literal, as it
+    would before dropping its oldest entry. A cache or dict made inside a
+    function, such as a per-call memo, lives as long as its caller and is
+    not counted."""
     aliases = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "functools"
                for alias in node.names if alias.name in CACHES}
@@ -391,8 +394,7 @@ def _unbounded_caches(tree, module):
     def literal_bound(call):
         bound = call.args[0] if call.args else next(
             (k.value for k in call.keywords if k.arg == "maxsize"), None)
-        return (isinstance(bound, ast.Constant) and type(bound.value) is int
-                and bound.value >= 0)
+        return _literal_bound(bound)
 
     found = []
 
@@ -418,14 +420,57 @@ def _unbounded_caches(tree, module):
                 check(node)
 
     visit(tree.body)
+    trimmed = {name for node in ast.walk(tree) if isinstance(node, ast.Compare)
+               for operands in [[node.left, *node.comparators]]
+               if any(map(_literal_bound, operands))
+               for name in map(_len_of_name, operands) if name}
+    found += [f"{module}: line {line}" for name, line in _dict_memos(tree)
+              if name not in trimmed]
     return found
+
+
+def _literal_bound(node):
+    """True iff node is a nonnegative integer literal."""
+    return (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value >= 0)
+
+
+def _len_of_name(node):
+    """NAME for a call len(NAME), else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "len" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name)):
+        return node.args[0].id
+    return None
+
+
+def _dict_memos(tree):
+    """(name, line) for each module-level name bound to an empty dict, {}
+    or dict(), which the module fills as it runs; a dict written with
+    entries is a table and is not counted."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = ((isinstance(value, ast.Dict) and not value.keys)
+                 or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                     and value.func.id == "dict" and not value.args
+                     and not value.keywords))
+        if empty:
+            yield from ((t.id, t.lineno) for t in targets
+                        if isinstance(t, ast.Name))
 
 
 def test_module_level_caches_have_a_literal_bound():
     """A module-level memo lives as long as the process, so its size is
-    bounded by a constant written at its site."""
+    bounded by a constant written at its site: the maxsize of a functools
+    cache, or the length a dict memo is trimmed at."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert any("@lru_cache(maxsize=" in text for text in sources.values())
+    assert any("@lru_cache(maxsize=" in text or list(_dict_memos(ast.parse(text)))
+               for text in sources.values())
     assert [line for name, text in sources.items()
             for line in _unbounded_caches(ast.parse(text), name)] == []
 
@@ -446,3 +491,21 @@ def test_an_unbounded_cache_is_reported():
               "def g():\n    return memo(maxsize=None)(abs)\n")
     assert _unbounded_caches(ast.parse(source), "a.py") == [
         "a.py: line 8", "a.py: line 10", "a.py: line 12", "a.py: line 15"]
+    source = ("_EQUATIONS = {}\n"
+              "_TABLE = {1: 2}\n"
+              "def derive(key):\n"
+              "    memo = {}\n"
+              "    if len(_EQUATIONS) >= 256:\n"
+              "        del _EQUATIONS[next(iter(_EQUATIONS))]\n"
+              "    _EQUATIONS[key] = memo\n")
+    assert _unbounded_caches(ast.parse(source), "a.py") == []
+    source = ("LIMIT = 64\n"
+              "_SEEN: dict = dict()\n"
+              "_HELD = {}\n"
+              "_GROWN = _KEPT = {}\n"
+              "def add(key):\n"
+              "    if len(_HELD) > LIMIT or len(_SEEN) > 2.5 or len(_KEPT) > True:\n"
+              "        _HELD.clear()\n"
+              "    _SEEN[key] = _GROWN[key] = key\n")
+    assert _unbounded_caches(ast.parse(source), "a.py") == [
+        "a.py: line 2", "a.py: line 3", "a.py: line 4", "a.py: line 4"]
